@@ -269,7 +269,7 @@ def _add_solver_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--solver", help="external SAT solver executable (default: internal; "
                                      "also settable via CNCSYNTH_SOLVER)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--conflicts", type=int, help="conflict limit")
+    sp.add_argument("--conflicts", type=int, help="conflict limit (internal solver only)")
     sp.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
 
 

@@ -592,7 +592,7 @@ class _Encoder:
                     self.add(-self.owner(p, c), -self.pname(p, n), pin_lit * self.pin(p))
                     self.add(-self.owner(p, c), -self.pname(p, n), self.ptype(p, t))
             for p in self.slots:
-                self.add(-self.owner(p, c), *(self.pname(p, n) for n in allowed if n in self.names))
+                self.add(-self.owner(p, c), *(self.pname(p, n) for n in sorted(allowed) if n in self.names))
 
     def _interface_complete(self) -> None:
         self.begin("interface-complete")
@@ -607,7 +607,7 @@ class _Encoder:
                     if port.type is not None:
                         self.add(-self.owner(p, cname), -self.pname(p, port.name), self.ptype(p, port.type))
             for p in self.slots:
-                self.add(-self.owner(p, cname), *(self.pname(p, n) for n in allowed))
+                self.add(-self.owner(p, cname), *(self.pname(p, n) for n in sorted(allowed)))
 
     # -- styles ----------------------------------------------------------------
 

@@ -5,7 +5,12 @@ The internal solver is complete and deterministic: branching uses variable
 activities with ascending-index tie-breaking (or pure ascending index in
 "index" mode) with phase saving, learns 1UIP clauses, and restarts on a
 Luby schedule.  Structural variables are allocated first by the encoder, so
-initial decisions start in the structural core.
+initial decisions start in the structural core.  As in MiniSat (Een &
+Sorensson, SAT 2003), the order heap holds one current entry per variable:
+backtracking pushes a variable only when it has none.  Every clause reaches
+the solver through one loader, ``_Cdcl.add_clauses``.  A SAT answer is
+checked against every clause (original, assumption and blocking) before it
+is returned.
 """
 
 from __future__ import annotations
@@ -77,8 +82,22 @@ class SolverError(Exception):
 
 
 def check_assignment(cnf: CnfInstance, assignment: dict[int, bool]) -> bool:
-    return all(any(assignment.get(abs(l), False) == (l > 0) for l in clause)
-               for clause in cnf.clauses)
+    """True if ``assignment`` satisfies every clause of ``cnf``; a variable
+    it leaves out reads False."""
+    return _satisfies(assignment, cnf.clauses)
+
+
+def _satisfies(assignment: dict[int, bool], *clause_lists) -> bool:
+    """True if ``assignment`` satisfies every clause in ``clause_lists``.
+    Each clause is tested against the set of true literals at C speed; only
+    a clause with none of them falls back to looking for a negative literal
+    on a variable the assignment leaves out."""
+    disjoint = {v if b else -v for v, b in assignment.items()}.isdisjoint
+    for clauses in clause_lists:
+        for clause in filter(disjoint, clauses):
+            if not any(l < 0 and -l not in assignment for l in clause):
+                return False
+    return True
 
 
 # --- Internal CDCL solver ----------------------------------------------------
@@ -92,6 +111,18 @@ class _Cdcl:
     variable activities with ties broken by ascending variable index, so a
     given formula always produces the same run; ``index`` always picks the
     lowest-indexed unassigned variable.
+
+    The order heap holds ``(-activity, var)`` entries.  ``in_heap[v]`` is set
+    while the heap holds an entry for ``v`` at its current activity: it is
+    set on push and cleared when ``analyze`` bumps ``v`` or the branching
+    step pops that entry.  ``solve`` rebuilds the heap with one entry per
+    unassigned variable, and from then on every unassigned variable keeps
+    such an entry: backtracking pushes only the variables whose flag is
+    clear, and an entry at an older activity is dropped when popped.
+
+    Clauses enter through ``add_clauses`` only: original clauses before the
+    first solve, and blocking clauses (via ``add_blocking_clause``) between
+    solves.
     """
 
     def __init__(self, num_vars: int, limits: SolverLimits,
@@ -117,7 +148,9 @@ class _Cdcl:
         self.var_inc = 1.0
         self.inv_decay = 1.0 / 0.8
         self.restart_base = 256
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, nv + 1)]
+        # Filled by solve(); "index" mode never pops it.
+        self.heap: list[tuple[float, int]] = []
+        self.in_heap = [False] * (nv + 1)
         self.seen = [False] * (nv + 1)
         self.learnts: list[list[int]] = []
         self.limits = limits
@@ -128,31 +161,44 @@ class _Cdcl:
     def value(self, lit: int) -> int:
         return self.val[lit + self.nv]
 
-    def add_clause(self, lits: tuple[int, ...]) -> None:
-        """Add an original clause (call before solving only)."""
-        seen = set()
-        out = []
-        for l in lits:
-            if -l in seen:
-                return  # tautology
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
-        if not out:
-            self.ok = False
-            return
-        if len(out) == 1:
-            if not self.enqueue(out[0], None):
-                self.ok = False
-            return
-        if len(out) == 2:
-            a, b = out
-            self.bin_imp[-a + self.nv].append(b)
-            self.bin_imp[-b + self.nv].append(a)
-            return
-        c = out
-        self.watches[c[0] + self.nv].append((c[1], c))
-        self.watches[c[1] + self.nv].append((c[0], c))
+    def add_clauses(self, clauses) -> None:
+        """Attach clauses in order.  A clause of two or more literals on
+        distinct variables, the bulk of an encoding, goes straight to the
+        implication lists (binary) or the watches; any other clause is
+        dropped if it is a tautology and otherwise loses its repeated
+        literals first.  An empty clause, or a unit that contradicts the
+        trail, makes the formula UNSAT."""
+        nv = self.nv
+        bin_imp = self.bin_imp
+        watches = self.watches
+        for c in clauses:
+            n = len(c)
+            if n == 2:
+                a, b = c
+                plain = a != b and a != -b
+            elif n == 3:
+                a, b, d = c
+                plain = a != b and a != d and b != d and a != -b and a != -d and b != -d
+            else:
+                plain = n > 3 and len(set(map(abs, c))) == n
+            if not plain:
+                lits = set(c)
+                if any(-l in lits for l in lits):
+                    continue  # tautology
+                c = list(dict.fromkeys(c))
+                n = len(c)
+                if n < 2:
+                    if not (c and self.enqueue(c[0], None)):
+                        self.ok = False
+                    continue
+            if n == 2:
+                a, b = c
+                bin_imp[nv - a].append(b)
+                bin_imp[nv - b].append(a)
+            else:
+                c = list(c)
+                watches[c[0] + nv].append((c[1], c))
+                watches[c[1] + nv].append((c[0], c))
 
     def add_blocking_clause(self, lits: tuple[int, ...]) -> None:
         """Add a clause between solve calls.  Backtracks to level 0 and
@@ -168,20 +214,7 @@ class _Cdcl:
                 return  # already satisfied at the root level
             if v == 0:
                 out.append(l)
-        if not out:
-            self.ok = False
-            return
-        if len(out) == 1:
-            if not self.enqueue(out[0], None):
-                self.ok = False
-            return
-        if len(out) == 2:
-            a, b = out
-            self.bin_imp[-a + nv].append(b)
-            self.bin_imp[-b + nv].append(a)
-            return
-        self.watches[out[0] + nv].append((out[1], out))
-        self.watches[out[1] + nv].append((out[0], out))
+        self.add_clauses((out,))
 
     def enqueue(self, lit: int, reason) -> bool:
         nv = self.nv
@@ -281,6 +314,7 @@ class _Cdcl:
         trail = self.trail
         reason = self.reason
         activity = self.activity
+        in_heap = self.in_heap
         var_inc = self.var_inc
         learnt: list[int] = [0]
         to_clear: list[int] = []
@@ -296,6 +330,7 @@ class _Cdcl:
                     seen[v] = True
                     to_clear.append(v)
                     activity[v] += var_inc
+                    in_heap[v] = False
                     if level[v] == cur_level:
                         counter += 1
                     else:
@@ -348,11 +383,16 @@ class _Cdcl:
         return learnt, max_level
 
     def _rescale_activity(self) -> None:
-        nv = self.nv
         self.activity = [a * 1e-100 for a in self.activity]
         self.var_inc *= 1e-100
-        self.heap = [(-self.activity[v], v) for v in range(1, nv + 1)
-                     if self.val[v + nv] == 0]
+        self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable at its current activity."""
+        nv = self.nv
+        activity = self.activity
+        in_heap = self.in_heap = [False] + [x == 0 for x in self.val[nv + 1:]]
+        self.heap = [(-activity[v], v) for v in range(1, nv + 1) if in_heap[v]]
         heapq.heapify(self.heap)
 
     def cancel_until(self, target_level: int) -> None:
@@ -360,23 +400,31 @@ class _Cdcl:
             return
         nv = self.nv
         val = self.val
+        phase = self.phase
+        reason = self.reason
+        trail = self.trail
         heap_push = heapq.heappush
         heap = self.heap
+        in_heap = self.in_heap
         activity = self.activity
+        head_var = self.head_var
         bound = self.trail_lim[target_level]
-        for k in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[k]
+        for k in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[k]
             var = lit if lit > 0 else -lit
-            self.phase[var] = lit > 0
+            phase[var] = lit > 0
             val[lit + nv] = 0
             val[-lit + nv] = 0
-            self.reason[var] = None
-            heap_push(heap, (-activity[var], var))
-            if var < self.head_var:
-                self.head_var = var
-        del self.trail[bound:]
+            reason[var] = None
+            if not in_heap[var]:
+                in_heap[var] = True
+                heap_push(heap, (-activity[var], var))
+            if var < head_var:
+                head_var = var
+        self.head_var = head_var
+        del trail[bound:]
         del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     def _pick_branch_var(self) -> int:
         """Next decision variable, or 0 if all are assigned."""
@@ -389,17 +437,16 @@ class _Cdcl:
             self.head_var = v
             return v if v <= nv else 0
         heap = self.heap
+        in_heap = self.in_heap
         activity = self.activity
         heap_pop = heapq.heappop
-        heap_push = heapq.heappush
         while heap:
             act, v = heap_pop(heap)
-            if val[v + nv] != 0:
-                continue
-            if -act != activity[v]:  # stale entry; requeue at current activity
-                heap_push(heap, (-activity[v], v))
-                continue
-            return v
+            if -act != activity[v]:
+                continue  # older activity; any unassigned v has a current entry
+            in_heap[v] = False
+            if val[v + nv] == 0:
+                return v
         return 0
 
     def _reduce_learnts(self) -> None:
@@ -428,14 +475,18 @@ class _Cdcl:
     SEGMENT_BUDGET = 6000
 
     def solve(self) -> SolveResult:
+        start = time.monotonic()
+        result = self._solve(start)
+        self.stats.solve_seconds = time.monotonic() - start
+        return result
+
+    def _solve(self, start: float) -> SolveResult:
         if not self.ok or self.propagate() is not None:
             return SolveResult(UNSAT, stats=self.stats)
-        start = time.monotonic()
         if self.branching == "index":
             result = self._search(start, None)
             assert result is not None
             return result
-        nv = self.nv
         budget = self.SEGMENT_BUDGET
         seg = 0
         warm = self.warm_start
@@ -444,18 +495,13 @@ class _Cdcl:
             decay, polarity = self.PORTFOLIO[seg % len(self.PORTFOLIO)]
             self.cancel_until(0)
             self.inv_decay = 1.0 / decay
-            if warm and seg == 0:
-                # Continuation solve: keep activities and saved phases so the
-                # search resumes near the previous solution.
-                self.heap = [(-self.activity[v], v) for v in range(1, nv + 1)
-                             if self.val[v + nv] == 0]
-                heapq.heapify(self.heap)
-            else:
+            # A continuation solve keeps activities and saved phases so the
+            # search resumes near the previous solution.
+            if not (warm and seg == 0):
                 self.var_inc = 1.0
-                self.activity = [0.0] * (nv + 1)
-                self.phase = [polarity] * (nv + 1)
-                self.heap = [(0.0, v) for v in range(1, nv + 1)
-                             if self.val[v + nv] == 0]
+                self.activity = [0.0] * (self.nv + 1)
+                self.phase = [polarity] * (self.nv + 1)
+            self._rebuild_heap()
             result = self._search(start, self.stats.conflicts + budget)
             if result is not None:
                 return result
@@ -515,7 +561,6 @@ class _Cdcl:
             if v == 0:
                 nv = self.nv
                 model = {u: self.val[u + nv] == 1 for u in range(1, nv + 1)}
-                self.stats.solve_seconds = time.monotonic() - start
                 return SolveResult(SAT, model, self.stats)
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
@@ -535,39 +580,59 @@ def solve(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
           assumptions: list[int] | None = None) -> SolveResult:
     """Solve a CNF instance.  SAT answers are re-verified against every clause
     before being returned."""
+    units = [(l,) for l in assumptions or ()]
     if cfg.engine == "internal":
         solver = _Cdcl(cnf.num_vars, cfg.limits, branching=cfg.branching,
                        default_phase=not (cfg.seed & 1))
-        for clause in cnf.clauses:
-            solver.add_clause(clause)
-        if assumptions:
-            for lit in assumptions:
-                solver.add_clause((lit,))
+        solver.add_clauses(cnf.clauses)
+        solver.add_clauses(units)
         result = solver.solve()
     else:
         result = _solve_external(cnf, cfg, assumptions)
     if result.status == SAT:
         assert result.assignment is not None
-        work = cnf if not assumptions else cnf.extended([(l,) for l in assumptions])
-        if not check_assignment(work, result.assignment):
+        if not _satisfies(result.assignment, cnf.clauses, units):
             raise SolverError("solver returned an assignment that does not satisfy the formula")
     return result
 
 
+# Conventional solver exit codes.
+_EXIT_STATUS = {10: SAT, 20: UNSAT}
+
+
 def _solve_external(cnf: CnfInstance, cfg: SolverConfig,
                     assumptions: list[int] | None) -> SolveResult:
+    """Run the executable ``cfg.engine`` on a DIMACS file of ``cnf`` plus the
+    assumptions as unit clauses.  A run that outlasts
+    ``cfg.limits.wall_seconds`` is killed and reported as RESOURCE_LIMIT.
+    There is no portable way to give an arbitrary binary a conflict limit,
+    so ``cfg.limits.conflicts`` does not apply here.  The verdict is read
+    from the 's' line; an exit code of 10 or 20 that disagrees with it
+    raises SolverError."""
     work = cnf if not assumptions else cnf.extended([(l,) for l in assumptions])
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
         fh.write(emit_dimacs(work))
         path = fh.name
+    start = time.monotonic()
     try:
-        proc = subprocess.run([cfg.engine, path], capture_output=True, text=True)
+        proc = subprocess.run([cfg.engine, path], capture_output=True, text=True,
+                              timeout=cfg.limits.wall_seconds)
+    except subprocess.TimeoutExpired:  # run() has killed and reaped the solver
+        proc = None
     except OSError as exc:
         raise SolverError(f"cannot run external solver {cfg.engine!r}: {exc}") from exc
     finally:
         Path(path).unlink(missing_ok=True)
-    # Conventional exit codes: 10 SAT, 20 UNSAT; fall back to the 's' line.
-    return parse_dimacs_result(proc.stdout)
+    if proc is None:
+        result = SolveResult(RESOURCE_LIMIT)
+    else:
+        result = parse_dimacs_result(proc.stdout)
+        expected = _EXIT_STATUS.get(proc.returncode, result.status)
+        if expected != result.status:
+            raise SolverError(f"external solver exited with code {proc.returncode} "
+                              f"but reported {result.status}")
+    result.stats.solve_seconds = time.monotonic() - start
+    return result
 
 
 # --- DIMACS ------------------------------------------------------------------
@@ -667,15 +732,13 @@ def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
             work = block(work, result.assignment, proj)
     solver = _Cdcl(cnf.num_vars, cfg.limits, branching=cfg.branching,
                    default_phase=not (cfg.seed & 1))
-    for clause in cnf.clauses:
-        solver.add_clause(clause)
+    solver.add_clauses(cnf.clauses)
     blocked: list[tuple[int, ...]] = []
     while True:
         result = solver.solve()
         if result.status == SAT:
             assert result.assignment is not None
-            work = cnf.extended(blocked) if blocked else cnf
-            if not check_assignment(work, result.assignment):
+            if not _satisfies(result.assignment, cnf.clauses, blocked):
                 raise SolverError("solver returned an assignment that does not satisfy the formula")
         yield result
         if result.status != SAT:

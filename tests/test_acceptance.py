@@ -15,6 +15,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from conftest import RJ
 
 from oracles import (
@@ -77,6 +79,7 @@ def register(label, spec, enc, assignment, model):
 
 # --- 1. Synthesis from the base specification ---------------------------------
 
+@pytest.mark.slow
 def test_criterion_1_base_specification_synthesis():
     start = time.monotonic()
     p = subprocess.run(
@@ -103,6 +106,7 @@ def test_criterion_1_base_specification_synthesis():
 
 # --- 2. Conflict detection and repair ------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_2_conflict_detection_and_repair():
     assert synthesize(load_spec(str(RJ / "S2.cncspec"))).outcome is SynthOutcome.UNSAT
     # Removing only the nesting conflict leaves the type conflict: still UNSAT.
@@ -116,6 +120,7 @@ def test_criterion_2_conflict_detection_and_repair():
 
 # --- 3. Amplifier placement follows the sensor position -------------------------
 
+@pytest.mark.slow
 def test_criterion_3_amplifier_dependent_structure():
     spec = load_spec(str(RJ / "S1amp.cncspec"))
     runs = enumerate_with_assignments(spec, limit=5)
@@ -163,6 +168,7 @@ def test_criterion_4_library_component():
 
 # --- 5. Hierarchical style: acyclic end-to-end communication --------------------
 
+@pytest.mark.slow
 def test_criterion_5_hierarchical_style():
     spec = load_spec(str(RJ / "S1hier.cncspec"))
     # Capped: proving exhaustion after the last model is far more expensive

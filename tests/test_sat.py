@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 
 import pytest
 
+from conftest import LANDER, RJ
 from oracles import assignment_satisfies, truth_table_sat
 
+from cncsynth import sat
+from cncsynth.cli import load_spec
+from cncsynth.encoder import encode
+from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
+from cncsynth.speclang import resolve
 from cncsynth.sat import (
     RESOURCE_LIMIT,
     SAT,
@@ -75,9 +83,7 @@ def test_seed_changes_default_phase_in_index_mode():
     assert a.assignment != b.assignment
 
 
-def test_conflict_limit_yields_resource_limit():
-    # A formula that needs some search: pigeonhole 4 into 3.
-    holes, pigeons = 3, 4
+def pigeonhole(pigeons: int, holes: int) -> CnfInstance:
     def var(p, h):
         return p * holes + h + 1
     clauses = [tuple(var(p, h) for h in range(holes)) for p in range(pigeons)]
@@ -85,7 +91,12 @@ def test_conflict_limit_yields_resource_limit():
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
                 clauses.append((-var(p1, h), -var(p2, h)))
-    cnf = CnfInstance(pigeons * holes, tuple(clauses))
+    return CnfInstance(pigeons * holes, tuple(clauses))
+
+
+def test_conflict_limit_yields_resource_limit():
+    # A formula that needs some search: pigeonhole 4 into 3.
+    cnf = pigeonhole(4, 3)
     assert solve(cnf).status == UNSAT
     limited = SolverConfig(limits=SolverLimits(conflicts=1))
     assert solve(cnf, limited).status == RESOURCE_LIMIT
@@ -167,3 +178,128 @@ def test_block_excludes_assignment():
     second = solve(blocked)
     assert second.status == SAT
     assert (second.assignment[1], second.assignment[2]) != (first.assignment[1], first.assignment[2])
+
+
+# --- the search is pinned: a change to the solver's bookkeeping must not move
+# a single decision ------------------------------------------------------------
+
+def search_counts(cnf: CnfInstance) -> tuple[str, int, int, int]:
+    r = solve(cnf)
+    return r.status, r.stats.conflicts, r.stats.decisions, r.stats.propagations
+
+
+def test_search_counts_lander_first_solve():
+    assert search_counts(encode(load_spec(str(LANDER / "Lander.cncspec"))).cnf) == (SAT, 7, 51, 815)
+
+
+def test_search_counts_s2nonest():
+    assert search_counts(encode(load_spec(str(RJ / "S2NoNest.cncspec"))).cnf) == (UNSAT, 1028, 16053, 752535)
+
+
+def test_search_counts_3sat_reduction():
+    f = Cnf3Formula(6, ((-1, -4, -5), (-2, 4, -3), (-5, -3, 1), (-5, 3, -6), (-5, -6, 4), (-5, -3, 2),
+                        (2, -6, -4), (6, -1, -3), (-1, 4, 2), (6, 5, 3), (-4, -1, 6), (-5, 2, -1),
+                        (-2, -5, 3), (-5, 2, 1), (-6, 5, 3), (-4, 1, 6), (-3, -5, 6)))
+    cnf = encode(resolve(reduce_3sat(f)), reduction_scope(f)).cnf
+    assert search_counts(cnf) == (SAT, 31, 68, 3875)
+
+
+def test_solve_seconds_set_on_unsat_and_resource_limit():
+    unsat = solve(pigeonhole(4, 3))
+    assert unsat.status == UNSAT and unsat.stats.conflicts >= 1
+    assert unsat.stats.solve_seconds > 0
+    limited = solve(pigeonhole(4, 3), SolverConfig(limits=SolverLimits(conflicts=1)))
+    assert limited.status == RESOURCE_LIMIT and limited.stats.solve_seconds > 0
+
+
+def test_clause_loading_normalizes_clauses():
+    # Repeated literals are merged, tautologies dropped, and a clause that
+    # shrinks to a unit or is empty is handled as such.
+    assert solve(CnfInstance(2, ((1, 1), (-1, -1, 2), (-2, 2, 1)))).assignment == {1: True, 2: True}
+    assert solve(CnfInstance(2, ((1, 1, 1), (-1,)))).status == UNSAT
+    assert solve(CnfInstance(3, ((1, -1), (2, 3, 2, -3)))).status == SAT
+
+
+# --- the SAT re-check ------------------------------------------------------------
+
+def test_check_assignment_reads_absent_variables_as_false():
+    cnf = CnfInstance(3, ((1, -2), (-3,)))
+    assert check_assignment(cnf, {1: True})
+    assert not check_assignment(CnfInstance(3, ((2, 3),)), {1: True})
+    assert check_assignment(CnfInstance(3, ((2, -3),)), {})
+
+
+def test_check_assignment_rejects_a_single_violated_clause():
+    cnf = CnfInstance(3, ((1, 2), (-1, 3), (2, 3), (-2, -3, 1)))
+    assert check_assignment(cnf, {1: True, 2: False, 3: True})
+    assert not check_assignment(cnf, {1: False, 2: False, 3: True})  # only (1, 2) fails
+
+
+def test_iter_assignments_rejects_a_model_that_breaks_a_blocking_clause(monkeypatch):
+    # Replay the first model on the second call: it satisfies the original
+    # clause but not the blocking clause added after it.
+    real_solve = sat._Cdcl.solve
+    first: dict[int, bool] = {}
+
+    def replay(self):
+        result = real_solve(self)
+        if first:
+            result.assignment = dict(first)
+        else:
+            first.update(result.assignment)
+        return result
+
+    monkeypatch.setattr(sat._Cdcl, "solve", replay)
+    steps = iter_assignments(CnfInstance(2, ((1, 2),)))
+    assert next(steps).status == SAT
+    with pytest.raises(SolverError):
+        next(steps)
+
+
+def test_solve_rejects_a_model_that_breaks_an_assumption(monkeypatch):
+    real_solve = sat._Cdcl.solve
+
+    def flip(self):
+        result = real_solve(self)
+        result.assignment[1] = not result.assignment[1]
+        return result
+
+    monkeypatch.setattr(sat._Cdcl, "solve", flip)
+    with pytest.raises(SolverError):
+        solve(CnfInstance(2, ((1, 2, -1),)), assumptions=[1])
+
+
+# --- external engine -------------------------------------------------------------
+
+def fake_solver(tmp_path, body: str, limits: SolverLimits = SolverLimits()) -> SolverConfig:
+    """A solver executable that runs ``body`` and ignores its input."""
+    path = tmp_path / "fake_solver.py"
+    path.write_text(f"#!{sys.executable}\nimport sys, time\n{body}\n")
+    path.chmod(0o755)
+    return SolverConfig(engine=str(path), limits=limits)
+
+
+def test_external_solver_timeout_is_resource_limit(tmp_path):
+    cfg = fake_solver(tmp_path, "time.sleep(60)", SolverLimits(wall_seconds=1.0))
+    start = time.monotonic()
+    result = solve(CnfInstance(1, ((1,),)), cfg)
+    assert result.status == RESOURCE_LIMIT
+    assert result.stats.solve_seconds >= 1.0 and time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("out, code, status", [
+    ("s SATISFIABLE\nv 1 0", 10, SAT),
+    ("s UNSATISFIABLE", 20, UNSAT),
+    ("s SATISFIABLE\nv 1 0", 0, SAT),
+])
+def test_external_solver_exit_code_agrees(tmp_path, out, code, status):
+    cfg = fake_solver(tmp_path, f"print({out!r})\nsys.exit({code})")
+    assert solve(CnfInstance(1, ((1,),)), cfg).status == status
+
+
+@pytest.mark.parametrize("out, code", [("s SATISFIABLE\nv 1 0", 20), ("s UNSATISFIABLE", 10),
+                                       ("s UNKNOWN", 10)])
+def test_external_solver_exit_code_disagrees(tmp_path, out, code):
+    cfg = fake_solver(tmp_path, f"print({out!r})\nsys.exit({code})")
+    with pytest.raises(SolverError, match="exit"):
+        solve(CnfInstance(1, ((1,),)), cfg)
