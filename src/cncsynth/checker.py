@@ -10,8 +10,6 @@ from cncsynth.model import (
     AbstractConnector,
     CncModel,
     CncView,
-    Direction,
-    PortGraph,
     PortRef,
     contains_transitive,
     port_chain_graph,

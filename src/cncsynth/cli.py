@@ -24,9 +24,9 @@ from cncsynth.dsl import (
 )
 import dataclasses
 
-from cncsynth.encoder import EncodingError, compute_scope, encode
+from cncsynth.encoder import EncodingError, encode
 from cncsynth.speclang import ScopeHints
-from cncsynth.model import CncModel, validate_model
+from cncsynth.model import CncModel
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope, solve_3sat
 from cncsynth.sat import SolverConfig, SolverError, SolverLimits, emit_dimacs
 from cncsynth.speclang import ResolvedSpec, SpecResolutionError, ViewSpec, resolve
@@ -78,7 +78,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     engine = getattr(args, "solver", None) or os.environ.get("CNCSYNTH_SOLVER") or "internal"
     limits = SolverLimits(conflicts=getattr(args, "conflicts", None),
                           wall_seconds=getattr(args, "timeout", None))
-    return SolverConfig(engine=engine, seed=getattr(args, "seed", 0) or 0, limits=limits)
+    return SolverConfig(engine=engine, limits=limits)
 
 
 def _scoped_spec(args: argparse.Namespace, spec: ResolvedSpec) -> ResolvedSpec:
@@ -268,7 +268,6 @@ def _add_scope_args(sp: argparse.ArgumentParser) -> None:
 def _add_solver_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--solver", help="external SAT solver executable (default: internal; "
                                      "also settable via CNCSYNTH_SOLVER)")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--conflicts", type=int, help="conflict limit (internal solver only)")
     sp.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
 

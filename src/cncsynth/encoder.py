@@ -36,7 +36,7 @@ from cncsynth.model import (
     PortRef,
 )
 from cncsynth.sat import CnfInstance
-from cncsynth.speclang import And, Formula, Not, Or, ResolvedSpec, StyleKind, Var
+from cncsynth.speclang import And, Formula, Not, ResolvedSpec, StyleKind, Var
 
 FRESH_PORT_PREFIX = "_p"
 FRESH_TYPE_PREFIX = "_T"

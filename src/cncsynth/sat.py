@@ -1,16 +1,16 @@
 """SAT backend: CNF instances, an internal CDCL solver, DIMACS interop with
 external solvers, and blocking clauses for solution enumeration.
 
-The internal solver is complete and deterministic: branching uses variable
-activities with ascending-index tie-breaking (or pure ascending index in
-"index" mode) with phase saving, learns 1UIP clauses, and restarts on a
-Luby schedule.  Structural variables are allocated first by the encoder, so
-initial decisions start in the structural core.  As in MiniSat (Een &
-Sorensson, SAT 2003), the order heap holds one current entry per variable:
-backtracking pushes a variable only when it has none.  Every clause reaches
-the solver through one loader, ``_Cdcl.add_clauses``.  A SAT answer is
-checked against every clause (original, assumption and blocking) before it
-is returned.
+The internal solver is complete and deterministic: it decides by variable
+activity with ascending-index tie-breaking and phase saving, learns 1UIP
+clauses, and restarts on a Luby schedule.  Structural variables are
+allocated first by the encoder, so initial decisions start in the
+structural core.  As in MiniSat (Een & Sorensson, SAT 2003), the order heap
+holds one current entry per variable: backtracking pushes a variable only
+when it has none.  Every clause reaches the solver through one loader,
+``_Cdcl.add_clauses``.  ``solve`` and ``iter_assignments`` share one loop,
+``_answers``, for both engines; it checks every SAT answer against every
+clause (original, assumption and blocking) before returning it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,7 @@ class SolverLimits:
 @dataclass(frozen=True)
 class SolverConfig:
     engine: str = "internal"  # "internal" or a path to an external solver
-    seed: int = 0
     limits: SolverLimits = SolverLimits()
-    branching: str = "vsids"  # "vsids" (activity, index tie-break) or "index"
 
 
 @dataclass
@@ -107,14 +106,14 @@ class _Cdcl:
     a dedicated binary-implication graph, 1UIP learning with local clause
     minimization, phase saving and Luby restarts.
 
-    Branching is deterministic: ``vsids`` (the default) uses exponential
-    variable activities with ties broken by ascending variable index, so a
-    given formula always produces the same run; ``index`` always picks the
-    lowest-indexed unassigned variable.
+    Decisions are deterministic: they follow exponential variable activities
+    with ties broken by ascending variable index, so a given formula always
+    produces the same run.  A ``solve`` that follows a SAT answer resumes
+    warm, from the activities and saved phases that found it.
 
     The order heap holds ``(-activity, var)`` entries.  ``in_heap[v]`` is set
     while the heap holds an entry for ``v`` at its current activity: it is
-    set on push and cleared when ``analyze`` bumps ``v`` or the branching
+    set on push and cleared when ``analyze`` bumps ``v`` or the decision
     step pops that entry.  ``solve`` rebuilds the heap with one entry per
     unassigned variable, and from then on every unassigned variable keeps
     such an entry: backtracking pushes only the variables whose flag is
@@ -125,8 +124,7 @@ class _Cdcl:
     solves.
     """
 
-    def __init__(self, num_vars: int, limits: SolverLimits,
-                 branching: str = "vsids", default_phase: bool = True):
+    def __init__(self, num_vars: int, limits: SolverLimits):
         nv = num_vars
         self.nv = nv
         # val[lit + nv]: 1 if the literal is true, -1 false, 0 unassigned.
@@ -135,20 +133,18 @@ class _Cdcl:
         # reason[v]: None (decision/unit), an int ``other`` meaning the binary
         # clause (implied, other), or the full clause as a list.
         self.reason: list = [None] * (nv + 1)
-        self.phase = [default_phase] * (nv + 1)
+        self.phase = [True] * (nv + 1)
         # bin_imp[lit + nv]: literals implied when ``lit`` becomes true.
         self.bin_imp: list[list[int]] = [[] for _ in range(2 * nv + 1)]
         self.watches: list[list[tuple[int, list[int]]]] = [[] for _ in range(2 * nv + 1)]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.branching = branching
-        self.head_var = 1
         self.activity = [0.0] * (nv + 1)
         self.var_inc = 1.0
         self.inv_decay = 1.0 / 0.8
         self.restart_base = 256
-        # Filled by solve(); "index" mode never pops it.
+        # Filled by solve().
         self.heap: list[tuple[float, int]] = []
         self.in_heap = [False] * (nv + 1)
         self.seen = [False] * (nv + 1)
@@ -157,9 +153,6 @@ class _Cdcl:
         self.stats = SolveStats()
         self.ok = True
         self.warm_start = False
-
-    def value(self, lit: int) -> int:
-        return self.val[lit + self.nv]
 
     def add_clauses(self, clauses) -> None:
         """Attach clauses in order.  A clause of two or more literals on
@@ -407,7 +400,6 @@ class _Cdcl:
         heap = self.heap
         in_heap = self.in_heap
         activity = self.activity
-        head_var = self.head_var
         bound = self.trail_lim[target_level]
         for k in range(len(trail) - 1, bound - 1, -1):
             lit = trail[k]
@@ -419,9 +411,6 @@ class _Cdcl:
             if not in_heap[var]:
                 in_heap[var] = True
                 heap_push(heap, (-activity[var], var))
-            if var < head_var:
-                head_var = var
-        self.head_var = head_var
         del trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(trail)
@@ -430,12 +419,6 @@ class _Cdcl:
         """Next decision variable, or 0 if all are assigned."""
         nv = self.nv
         val = self.val
-        if self.branching == "index":
-            v = self.head_var
-            while v <= nv and val[v + nv] != 0:
-                v += 1
-            self.head_var = v
-            return v if v <= nv else 0
         heap = self.heap
         in_heap = self.in_heap
         activity = self.activity
@@ -466,10 +449,10 @@ class _Cdcl:
         for w in self.watches:
             w[:] = [(b, c) for (b, c) in w if id(c) not in dropped]
 
-    # Deterministic sequential portfolio for vsids mode: each segment runs
-    # with a fixed decay factor and default polarity for a conflict budget,
-    # keeping learned clauses across segments; budgets double every cycle,
-    # so the search is complete and reproducible.
+    # Deterministic sequential portfolio: each segment runs with a fixed
+    # decay factor and default polarity for a conflict budget, keeping
+    # learned clauses across segments; budgets double every cycle, so the
+    # search is complete and reproducible.
     PORTFOLIO = ((0.8, True), (0.8, False), (0.95, True), (0.75, False),
                  (0.85, True), (0.95, False))
     SEGMENT_BUDGET = 6000
@@ -478,19 +461,15 @@ class _Cdcl:
         start = time.monotonic()
         result = self._solve(start)
         self.stats.solve_seconds = time.monotonic() - start
+        self.warm_start = result.status == SAT
         return result
 
     def _solve(self, start: float) -> SolveResult:
         if not self.ok or self.propagate() is not None:
             return SolveResult(UNSAT, stats=self.stats)
-        if self.branching == "index":
-            result = self._search(start, None)
-            assert result is not None
-            return result
         budget = self.SEGMENT_BUDGET
         seg = 0
         warm = self.warm_start
-        self.warm_start = False
         while True:
             decay, polarity = self.PORTFOLIO[seg % len(self.PORTFOLIO)]
             self.cancel_until(0)
@@ -509,7 +488,7 @@ class _Cdcl:
             if seg % len(self.PORTFOLIO) == 0:
                 budget *= 2
 
-    def _search(self, start: float, segment_limit: int | None) -> SolveResult | None:
+    def _search(self, start: float, segment_limit: int) -> SolveResult | None:
         """Run CDCL until an answer, a global limit (both as SolveResult), or
         the segment's conflict budget (None)."""
         restart_base = self.restart_base
@@ -546,7 +525,7 @@ class _Cdcl:
                 if lim.wall_seconds is not None and self.stats.conflicts % 128 == 0 \
                         and time.monotonic() - start > lim.wall_seconds:
                     return SolveResult(RESOURCE_LIMIT, stats=self.stats)
-                if segment_limit is not None and self.stats.conflicts >= segment_limit:
+                if self.stats.conflicts >= segment_limit:
                     return None
                 if len(self.learnts) > max_learnts:
                     self._reduce_learnts()
@@ -578,22 +557,49 @@ def _luby(i: int) -> int:
 
 def solve(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
           assumptions: list[int] | None = None) -> SolveResult:
-    """Solve a CNF instance.  SAT answers are re-verified against every clause
-    before being returned."""
-    units = [(l,) for l in assumptions or ()]
-    if cfg.engine == "internal":
-        solver = _Cdcl(cnf.num_vars, cfg.limits, branching=cfg.branching,
-                       default_phase=not (cfg.seed & 1))
+    """Solve a CNF instance, with ``assumptions`` added as unit clauses.  A
+    SAT answer is re-verified against every clause before it is returned."""
+    return next(_answers(cnf, cfg, [(l,) for l in assumptions or ()], []))
+
+
+def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
+                     projection: list[int] | None = None) -> Iterator[SolveResult]:
+    """Yield SolveResults for successive solutions, blocking each one on the
+    ``projection`` variables (all variables when None).  The final non-SAT
+    result (UNSAT when the space is exhausted, or RESOURCE_LIMIT) is yielded
+    last.  With the internal engine the search is incremental: learned
+    clauses and saved phases carry over between solutions."""
+    proj = sorted(set(projection)) if projection else list(range(1, cnf.num_vars + 1))
+    if not proj:
+        raise ValueError("projection must not be empty")
+    return _answers(cnf, cfg, [], proj)
+
+
+def _answers(cnf: CnfInstance, cfg: SolverConfig, extra: list[tuple[int, ...]],
+             projection: list[int]) -> Iterator[SolveResult]:
+    """Yield the answer for ``cnf`` plus the clauses ``extra`` and, after
+    each SAT answer, the answer once a clause blocking it on ``projection``
+    joins ``extra``; the first non-SAT answer is the last.  The internal
+    engine takes each blocking clause into the live solver; an external one
+    solves the whole of ``cnf`` and ``extra`` afresh.  Every SAT answer is
+    checked against all of those clauses; a variable it leaves out reads
+    False, here and in the blocking clause."""
+    internal = cfg.engine == "internal"
+    if internal:
+        solver = _Cdcl(cnf.num_vars, cfg.limits)
         solver.add_clauses(cnf.clauses)
-        solver.add_clauses(units)
-        result = solver.solve()
-    else:
-        result = _solve_external(cnf, cfg, assumptions)
-    if result.status == SAT:
-        assert result.assignment is not None
-        if not _satisfies(result.assignment, cnf.clauses, units):
+        solver.add_clauses(extra)
+    while True:
+        result = solver.solve() if internal else _solve_external(cnf, cfg, extra)
+        if result.status == SAT and not _satisfies(result.assignment, cnf.clauses, extra):
             raise SolverError("solver returned an assignment that does not satisfy the formula")
-    return result
+        yield result
+        if result.status != SAT:
+            return
+        clause = tuple(-v if result.assignment.get(v, False) else v for v in projection)
+        extra.append(clause)
+        if internal:
+            solver.add_blocking_clause(clause)
 
 
 # Conventional solver exit codes.
@@ -601,15 +607,14 @@ _EXIT_STATUS = {10: SAT, 20: UNSAT}
 
 
 def _solve_external(cnf: CnfInstance, cfg: SolverConfig,
-                    assumptions: list[int] | None) -> SolveResult:
-    """Run the executable ``cfg.engine`` on a DIMACS file of ``cnf`` plus the
-    assumptions as unit clauses.  A run that outlasts
-    ``cfg.limits.wall_seconds`` is killed and reported as RESOURCE_LIMIT.
-    There is no portable way to give an arbitrary binary a conflict limit,
-    so ``cfg.limits.conflicts`` does not apply here.  The verdict is read
-    from the 's' line; an exit code of 10 or 20 that disagrees with it
-    raises SolverError."""
-    work = cnf if not assumptions else cnf.extended([(l,) for l in assumptions])
+                    extra_clauses: list[tuple[int, ...]]) -> SolveResult:
+    """Run the executable ``cfg.engine`` on a DIMACS file of ``cnf`` plus
+    ``extra_clauses``.  A run that outlasts ``cfg.limits.wall_seconds`` is
+    killed and reported as RESOURCE_LIMIT.  There is no portable way to give
+    an arbitrary binary a conflict limit, so ``cfg.limits.conflicts`` does
+    not apply here.  The verdict is read from the 's' line; an exit code of
+    10 or 20 that disagrees with it raises SolverError."""
+    work = cnf.extended(extra_clauses) if extra_clauses else cnf
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
         fh.write(emit_dimacs(work))
         path = fh.name
@@ -710,49 +715,3 @@ def parse_dimacs_result(text: str) -> SolveResult:
     if not assignment:
         raise SolverError("SAT result without 'v' assignment lines")
     return SolveResult(SAT, assignment)
-
-
-def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
-                     projection: list[int] | None = None):
-    """Yield SolveResults for successive solutions, blocking each one on the
-    ``projection`` variables (all variables when None).  The final non-SAT
-    result (UNSAT when the space is exhausted, or RESOURCE_LIMIT) is yielded
-    last.  With the internal engine the search is incremental: learned
-    clauses and saved phases carry over between solutions."""
-    proj = sorted(set(projection)) if projection else list(range(1, cnf.num_vars + 1))
-    if not proj:
-        raise ValueError("projection must not be empty")
-    if cfg.engine != "internal":
-        work = cnf
-        while True:
-            result = solve(work, cfg)
-            yield result
-            if result.status != SAT:
-                return
-            work = block(work, result.assignment, proj)
-    solver = _Cdcl(cnf.num_vars, cfg.limits, branching=cfg.branching,
-                   default_phase=not (cfg.seed & 1))
-    solver.add_clauses(cnf.clauses)
-    blocked: list[tuple[int, ...]] = []
-    while True:
-        result = solver.solve()
-        if result.status == SAT:
-            assert result.assignment is not None
-            if not _satisfies(result.assignment, cnf.clauses, blocked):
-                raise SolverError("solver returned an assignment that does not satisfy the formula")
-        yield result
-        if result.status != SAT:
-            return
-        clause = tuple(-v if result.assignment[v] else v for v in proj)
-        blocked.append(clause)
-        solver.add_blocking_clause(clause)
-        solver.warm_start = True
-
-
-def block(cnf: CnfInstance, assignment: dict[int, bool], projection: list[int]) -> CnfInstance:
-    """Append a clause excluding ``assignment`` restricted to ``projection``,
-    so later solutions differ on at least one projected variable."""
-    if not projection:
-        raise ValueError("projection must not be empty")
-    clause = tuple(-v if assignment[v] else v for v in sorted(set(projection)))
-    return cnf.extended([clause], label="blocking")

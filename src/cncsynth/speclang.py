@@ -3,7 +3,7 @@ components, interface-complete markings, and architectural styles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from cncsynth.model import CncView, Component, Direction
@@ -59,21 +59,6 @@ def evaluate_formula(f: Formula, valuation: dict[str, bool]) -> bool:
     if isinstance(f, And):
         return all(evaluate_formula(a, valuation) for a in f.args)
     return any(evaluate_formula(a, valuation) for a in f.args)
-
-
-def formula_polarities(f: Formula, positive: bool = True,
-                       acc: dict[str, set[bool]] | None = None) -> dict[str, set[bool]]:
-    """Map view name -> set of polarities under which it occurs."""
-    if acc is None:
-        acc = {}
-    if isinstance(f, Var):
-        acc.setdefault(f.name, set()).add(positive)
-    elif isinstance(f, Not):
-        formula_polarities(f.arg, not positive, acc)
-    else:
-        for a in f.args:
-            formula_polarities(a, positive, acc)
-    return acc
 
 
 def format_formula(f: Formula) -> str:

@@ -24,7 +24,6 @@ from cncsynth.sat import (
     SolverConfig,
     SolverError,
     SolverLimits,
-    block,
     check_assignment,
     emit_dimacs,
     iter_assignments,
@@ -45,13 +44,11 @@ def random_cnf(rng: random.Random) -> CnfInstance:
     return CnfInstance(n, tuple(clauses))
 
 
-@pytest.mark.parametrize("branching", ["vsids", "index"])
-def test_random_formulas_match_truth_tables(branching):
+def test_random_formulas_match_truth_tables():
     rng = random.Random(13)
-    cfg = SolverConfig(branching=branching)
     for _ in range(150):
         cnf = random_cnf(rng)
-        result = solve(cnf, cfg)
+        result = solve(cnf)
         expected = truth_table_sat(cnf.num_vars, cnf.clauses)
         assert (result.status == SAT) == expected
         if expected:
@@ -73,14 +70,6 @@ def test_determinism():
     b = solve(cnf, SolverConfig())
     assert a.status == b.status and a.assignment == b.assignment
     assert a.stats.conflicts == b.stats.conflicts
-
-
-def test_seed_changes_default_phase_in_index_mode():
-    cnf = CnfInstance(3, ((1, 2, 3),))
-    a = solve(cnf, SolverConfig(seed=0, branching="index"))
-    b = solve(cnf, SolverConfig(seed=1, branching="index"))
-    assert a.status == SAT and b.status == SAT
-    assert a.assignment != b.assignment
 
 
 def pigeonhole(pigeons: int, holes: int) -> CnfInstance:
@@ -166,20 +155,6 @@ def test_iter_assignments_rejects_empty_projection():
         next(iter_assignments(CnfInstance(0, ()), projection=[]))
 
 
-def test_block_requires_projection():
-    with pytest.raises(ValueError):
-        block(CnfInstance(1, ()), {1: True}, [])
-
-
-def test_block_excludes_assignment():
-    cnf = CnfInstance(2, ((1, 2),))
-    first = solve(cnf)
-    blocked = block(cnf, first.assignment, [1, 2])
-    second = solve(blocked)
-    assert second.status == SAT
-    assert (second.assignment[1], second.assignment[2]) != (first.assignment[1], first.assignment[2])
-
-
 # --- the search is pinned: a change to the solver's bookkeeping must not move
 # a single decision ------------------------------------------------------------
 
@@ -202,6 +177,20 @@ def test_search_counts_3sat_reduction():
                         (-2, -5, 3), (-5, 2, 1), (-6, 5, 3), (-4, 1, 6), (-3, -5, 6)))
     cnf = encode(resolve(reduce_3sat(f)), reduction_scope(f)).cnf
     assert search_counts(cnf) == (SAT, 31, 68, 3875)
+
+
+def test_search_counts_lander_enumeration():
+    # Cumulative counts after 50 and 250 models (the enum workload's limit):
+    # they pin the warm restarts and blocking clauses between solutions.
+    enc = encode(load_spec(str(LANDER / "Lander.cncspec")))
+    counts = {}
+    for n, r in enumerate(iter_assignments(enc.cnf, projection=list(enc.structural_vars)), 1):
+        assert r.status == SAT
+        if n in (50, 250):
+            counts[n] = (r.stats.conflicts, r.stats.decisions, r.stats.propagations)
+            if n == 250:
+                break
+    assert counts == {50: (122, 1432, 21123), 250: (363, 6424, 90756)}
 
 
 def test_solve_seconds_set_on_unsat_and_resource_limit():
@@ -303,3 +292,39 @@ def test_external_solver_exit_code_disagrees(tmp_path, out, code):
     cfg = fake_solver(tmp_path, f"print({out!r})\nsys.exit({code})")
     with pytest.raises(SolverError, match="exit"):
         solve(CnfInstance(1, ((1,),)), cfg)
+
+
+# A brute-force DIMACS solver that prints only its true literals, as some
+# solvers do; the variables it leaves out read False.
+BRUTE_FORCE = """
+import itertools
+lines = [l.split() for l in open(sys.argv[1]) if l.strip() and l[0] not in "c%"]
+n = int(lines[0][2])
+clauses, cur = [], []
+for l in (int(t) for line in lines[1:] for t in line):
+    if l:
+        cur.append(l)
+    else:
+        clauses.append(cur)
+        cur = []
+for bits in itertools.product((False, True), repeat=n):
+    if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in clauses):
+        print("s SATISFIABLE")
+        print("v", *[v for v in range(1, n + 1) if bits[v - 1]], 0)
+        sys.exit(10)
+print("s UNSATISFIABLE")
+sys.exit(20)
+"""
+
+
+def test_external_enumeration_matches_internal(tmp_path):
+    cnf = CnfInstance(3, ((1, 2),))
+
+    def projected(cfg):
+        results = list(iter_assignments(cnf, cfg, projection=[1, 2]))
+        models = {(r.assignment.get(1, False), r.assignment.get(2, False)) for r in results[:-1]}
+        return [r.status for r in results], models
+
+    external = projected(fake_solver(tmp_path, BRUTE_FORCE))
+    assert external == projected(SolverConfig())
+    assert external == ([SAT, SAT, SAT, UNSAT], {(True, True), (True, False), (False, True)})

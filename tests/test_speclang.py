@@ -20,7 +20,6 @@ from cncsynth.speclang import (
     evaluate_formula,
     expand_patterns,
     format_formula,
-    formula_polarities,
     formula_vars,
     implicit_views,
     nocomp_view_name,
@@ -42,13 +41,7 @@ def test_formula_helpers():
     assert formula_vars(f) == {"A", "B", "C"}
     assert evaluate_formula(f, {"A": True, "B": False, "C": False})
     assert not evaluate_formula(f, {"A": True, "B": True, "C": False})
-    assert formula_polarities(f) == {"A": {True}, "B": {False}, "C": {True}}
     assert format_formula(f) == "(A && !B) || C"
-
-
-def test_formula_polarities_both():
-    f = And((Var("A"), Not(Var("A"))))
-    assert formula_polarities(f) == {"A": {True, False}}
 
 
 def test_imp_expansion():
