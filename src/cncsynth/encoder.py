@@ -25,6 +25,7 @@ forwarding), which rules out circular justification of reachability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from cncsynth.model import (
     CncModel,
@@ -133,7 +134,36 @@ def encode(spec: ResolvedSpec, scope: Scope | None = None) -> Encoding:
     return _Encoder(spec, scope).run()
 
 
+class _Table(dict):
+    """A dict that maps a missing key ``k`` to ``new(k)`` on its first
+    lookup.  The entries for ``keys`` are made up front, in order."""
+
+    __slots__ = ("new",)
+
+    def __init__(self, new, keys=()):
+        super().__init__()
+        self.new = new
+        for k in keys:
+            self[k] = new(k)
+
+    def __missing__(self, key):
+        v = self[key] = self.new(key)
+        return v
+
+
 class _Encoder:
+    """Builds one encoding.
+
+    Variables live in tables, one per kind (``par[c][d]``, ``reach[p][q]``,
+    ...): a table numbers the variable ``(kind, *args, key)`` the first time
+    it is looked up, so the numbering is part of the output.  The structural
+    tables are filled when the encoder is made, in the structural order;
+    every other table fills in the order the clauses first need its
+    variables.  The clause groups read table lookups and append literal
+    tuples to ``clauses`` directly, with no call per literal.
+    ``tests/test_encoder.py`` pins the resulting CNF, numbering included.
+    """
+
     def __init__(self, spec: ResolvedSpec, scope: Scope):
         self.spec = spec
         self.scope = scope
@@ -148,6 +178,22 @@ class _Encoder:
         self.names = list(scope.port_names)
         self.types = list(scope.types)
         self._validate_scope()
+
+        # Structural variables first, in a fixed order.
+        comps, slots, var = self.comps, self.slots, self.vm.var
+        self.ex = _Table(partial(var, "exists"), comps)
+        self.par = {c: _Table(partial(var, "parent", c), [d for d in comps if d != c]) for c in comps}
+        self.top = _Table(partial(var, "top"), comps)
+        self.used = _Table(partial(var, "used"), slots)
+        self.owner = [_Table(partial(var, "owner", p), comps) for p in slots]
+        self.pname = [_Table(partial(var, "pname", p), self.names) for p in slots]
+        self.pin = _Table(partial(var, "pin"), slots)
+        self.ptype = [_Table(partial(var, "ptype", p), self.types) for p in slots]
+        self.conn = [_Table(partial(var, "conn", p), [q for q in slots if q != p]) for p in slots]
+        self.structural = tuple(range(1, self.vm.num_vars + 1))
+        self.subt = {c: _Table(partial(var, "subt", c)) for c in comps}
+        self.reach = [_Table(partial(var, "reach", p)) for p in slots]
+        self.view = _Table(partial(var, "view"))
 
     def _validate_scope(self) -> None:
         comps = set(self.comps)
@@ -196,9 +242,7 @@ class _Encoder:
         return self._true_var
 
     def _amo(self, lits: list[int]) -> None:
-        for i in range(len(lits)):
-            for j in range(i + 1, len(lits)):
-                self.add(-lits[i], -lits[j])
+        self.clauses.extend((-a, -b) for i, a in enumerate(lits) for b in lits[i + 1:])
 
     def and_var(self, key: tuple, lits: list[int]) -> int:
         """Auxiliary variable equivalent to the conjunction of ``lits``."""
@@ -210,9 +254,8 @@ class _Encoder:
         if v is not None:
             return v
         v = self.vm.var(*key)
-        for l in lits:
-            self.add(-v, l)
-        self.add(v, *(-l for l in lits))
+        self.clauses.extend((-v, l) for l in lits)
+        self.clauses.append((v, *(-l for l in lits)))
         return v
 
     def or_var(self, key: tuple, lits: list[int]) -> int:
@@ -225,80 +268,13 @@ class _Encoder:
         if v is not None:
             return v
         v = self.vm.var(*key)
-        for l in lits:
-            self.add(-l, v)
-        self.add(-v, *lits)
+        self.clauses.extend((-l, v) for l in lits)
+        self.clauses.append((-v, *lits))
         return v
-
-    # -- variable accessors ----------------------------------------------------
-
-    def ex(self, c: str) -> int:
-        return self.vm.var("exists", c)
-
-    def par(self, c: str, d: str) -> int:
-        return self.vm.var("parent", c, d)
-
-    def top(self, c: str) -> int:
-        return self.vm.var("top", c)
-
-    def used(self, p: int) -> int:
-        return self.vm.var("used", p)
-
-    def owner(self, p: int, c: str) -> int:
-        return self.vm.var("owner", p, c)
-
-    def pname(self, p: int, n: str) -> int:
-        return self.vm.var("pname", p, n)
-
-    def pin(self, p: int) -> int:
-        return self.vm.var("pin", p)
-
-    def ptype(self, p: int, t: str) -> int:
-        return self.vm.var("ptype", p, t)
-
-    def conn(self, p: int, q: int) -> int:
-        return self.vm.var("conn", p, q)
-
-    def subt(self, c: str, d: str) -> int:
-        return self.vm.var("subt", c, d)
-
-    def reach(self, p: int, q: int) -> int:
-        return self.vm.var("reach", p, q)
-
-    def viewvar(self, name: str) -> int:
-        return self.vm.var("view", name)
 
     # -- top level -------------------------------------------------------------
 
     def run(self) -> Encoding:
-        # Structural variables first, in a fixed order.
-        for c in self.comps:
-            self.ex(c)
-        for c in self.comps:
-            for d in self.comps:
-                if c != d:
-                    self.par(c, d)
-        for c in self.comps:
-            self.top(c)
-        for p in self.slots:
-            self.used(p)
-        for p in self.slots:
-            for c in self.comps:
-                self.owner(p, c)
-        for p in self.slots:
-            for n in self.names:
-                self.pname(p, n)
-        for p in self.slots:
-            self.pin(p)
-        for p in self.slots:
-            for t in self.types:
-                self.ptype(p, t)
-        for p in self.slots:
-            for q in self.slots:
-                if p != q:
-                    self.conn(p, q)
-        structural = tuple(range(1, self.vm.num_vars + 1))
-
         self._containment()
         self._transitive_containment()
         self._ports()
@@ -312,41 +288,43 @@ class _Encoder:
         self._style()
         self.end()
 
-        comments = [f"var {v} {self.vm.describe(v)}" for v in structural]
+        comments = [f"var {v} {self.vm.describe(v)}" for v in self.structural]
         cnf = CnfInstance(self.vm.num_vars, tuple(self.clauses), tuple(comments), tuple(self.groups))
-        return Encoding(cnf, self.vm, self.scope, self.spec, structural)
+        return Encoding(cnf, self.vm, self.scope, self.spec, self.structural)
 
     # -- core well-formedness --------------------------------------------------
 
     def _containment(self) -> None:
         self.begin("containment")
-        for c in self.comps:
-            for d in self.comps:
-                if c == d:
-                    continue
-                self.add(-self.par(c, d), self.ex(c))
-                self.add(-self.par(c, d), self.ex(d))
-        for d in self.comps:
-            self._amo([self.par(c, d) for c in self.comps if c != d])
+        comps, ex, par, top = self.comps, self.ex, self.par, self.top
+        emit = self.clauses.append
+        for c in comps:
+            pc = par[c]
+            for d in comps:
+                if c != d:
+                    emit((-pc[d], ex[c]))
+                    emit((-pc[d], ex[d]))
+        parents = {d: [par[c][d] for c in comps if c != d] for d in comps}
+        for d in comps:
+            self._amo(parents[d])
         # top(c) <-> exists(c) and no parent.
-        for c in self.comps:
-            self.add(-self.top(c), self.ex(c))
-            for d in self.comps:
-                if d != c:
-                    self.add(-self.top(c), -self.par(d, c))
-            self.add(-self.ex(c), self.top(c), *(self.par(d, c) for d in self.comps if d != c))
+        for c in comps:
+            t = top[c]
+            emit((-t, ex[c]))
+            self.clauses.extend((-t, -v) for v in parents[c])
+            emit((-ex[c], t, *parents[c]))
         members = self._style_top_members()
         if members is None:
-            tops = [self.top(c) for c in self.comps]
-            self.add(*tops)
+            tops = [top[c] for c in comps]
+            emit(tuple(tops))
             self._amo(tops)
         else:
-            for c in self.comps:
+            for c in comps:
                 if c in members:
-                    self.add(self.ex(c))
-                    self.add(self.top(c))
+                    emit((ex[c],))
+                    emit((top[c],))
                 else:
-                    self.add(-self.top(c))
+                    emit((-top[c],))
 
     def _style_top_members(self) -> set[str] | None:
         style = self.spec.style
@@ -358,165 +336,188 @@ class _Encoder:
 
     def _transitive_containment(self) -> None:
         self.begin("transitive-containment")
-        for c in self.comps:
-            for d in self.comps:
+        comps, par, var = self.comps, self.par, self.vm.var
+        emit = self.clauses.append
+        subt = self.subt
+        for c in comps:
+            pc, sc = par[c], subt[c]
+            for d in comps:
                 if c != d:
-                    self.add(-self.par(c, d), self.subt(c, d))
-        for c in self.comps:
-            for e in self.comps:
-                for d in self.comps:
-                    if len({c, e, d}) == 3:
-                        self.add(-self.subt(c, e), -self.par(e, d), self.subt(c, d))
+                    emit((-pc[d], sc[d]))
+        for c in comps:
+            sc = subt[c]
+            for e in comps:
+                if e == c:
+                    continue
+                not_ce, pe = -sc[e], par[e]
+                for d in comps:
+                    if d != c and d != e:
+                        emit((not_ce, -pe[d], sc[d]))
         # Upper bound: containment must be justified by a parent path.
-        for c in self.comps:
-            for d in self.comps:
+        for c in comps:
+            pc, sc = par[c], subt[c]
+            for d in comps:
                 if c == d:
                     continue
-                witnesses = [self.par(c, d)]
-                for e in self.comps:
-                    if e in (c, d):
+                witnesses = [pc[d]]
+                for e in comps:
+                    if e == c or e == d:
                         continue
-                    w = self.vm.var("subtstep", c, e, d)
-                    self.add(-w, self.subt(c, e))
-                    self.add(-w, self.par(e, d))
+                    w = var("subtstep", c, e, d)
+                    emit((-w, sc[e]))
+                    emit((-w, par[e][d]))
                     witnesses.append(w)
-                self.add(-self.subt(c, d), *witnesses)
-        for i, c in enumerate(self.comps):
-            for d in self.comps[i + 1:]:
-                self.add(-self.subt(c, d), -self.subt(d, c))
+                emit((-sc[d], *witnesses))
+        for i, c in enumerate(comps):
+            sc = subt[c]
+            for d in comps[i + 1:]:
+                emit((-sc[d], -subt[d][c]))
 
     def _ports(self) -> None:
         self.begin("ports")
+        ex, used, pin = self.ex, self.used, self.pin
+        emit = self.clauses.append
         for p in self.slots:
-            if p + 1 in self.slots:
-                self.add(-self.used(p + 1), self.used(p))
-            owners = [self.owner(p, c) for c in self.comps]
-            names = [self.pname(p, n) for n in self.names]
-            ptypes = [self.ptype(p, t) for t in self.types]
-            self.add(-self.used(p), *owners)
-            self.add(-self.used(p), *names)
-            self.add(-self.used(p), *ptypes)
+            u = used[p]
+            if p + 1 < len(self.slots):
+                emit((-used[p + 1], u))
+            owners = [self.owner[p][c] for c in self.comps]
+            names = [self.pname[p][n] for n in self.names]
+            ptypes = [self.ptype[p][t] for t in self.types]
+            emit((-u, *owners))
+            emit((-u, *names))
+            emit((-u, *ptypes))
             for group in (owners, names, ptypes):
-                for l in group:
-                    self.add(-l, self.used(p))
+                self.clauses.extend((-l, u) for l in group)
                 self._amo(group)
-            for c in self.comps:
-                self.add(-self.owner(p, c), self.ex(c))
-            self.add(-self.pin(p), self.used(p))
+            self.clauses.extend((-o, ex[c]) for o, c in zip(owners, self.comps))
+            emit((-pin[p], u))
 
     def _symmetry(self) -> None:
         self.begin("symmetry")
+        comps, names, owner, pname = self.comps, self.names, self.owner, self.pname
+        emit = self.clauses.append
         for p in self.slots[:-1]:
+            o0, o1, n0, n1 = owner[p], owner[p + 1], pname[p], pname[p + 1]
             # Owner index never decreases along the slot prefix.
-            for i, ci in enumerate(self.comps):
-                for cj in self.comps[:i]:
-                    self.add(-self.owner(p, ci), -self.owner(p + 1, cj))
+            for i, ci in enumerate(comps):
+                for cj in comps[:i]:
+                    emit((-o0[ci], -o1[cj]))
             # Within a same-owner block, port-name index strictly increases.
             sb = self.vm.var("sameowner", p)
-            for c in self.comps:
-                self.add(-self.owner(p, c), -self.owner(p + 1, c), sb)
-            for i, ni in enumerate(self.names):
-                for nj in self.names[: i + 1]:
-                    self.add(-sb, -self.pname(p, ni), -self.pname(p + 1, nj))
+            for c in comps:
+                emit((-o0[c], -o1[c], sb))
+            for i, ni in enumerate(names):
+                for nj in names[: i + 1]:
+                    emit((-sb, -n0[ni], -n1[nj]))
 
     # -- connectors ------------------------------------------------------------
 
-    def pparent(self, p: int, c: str) -> int:
-        return self.vm.var("pparent", p, c)
-
-    def ptop(self, p: int) -> int:
-        return self.vm.var("ptop", p)
-
     def _connectors(self) -> None:
         self.begin("connectors")
+        comps, slots, types = self.comps, self.slots, self.types
+        par, top, used, owner, pin, ptype, conn = (
+            self.par, self.top, self.used, self.owner, self.pin, self.ptype, self.conn)
+        pparent = [_Table(partial(self.vm.var, "pparent", p)) for p in slots]
+        ptop = _Table(partial(self.vm.var, "ptop"))
+        emit = self.clauses.append
         # pparent(p, c): the parent of slot p's owner is c.
-        for p in self.slots:
-            for c in self.comps:
-                for d in self.comps:
+        for p in slots:
+            op, pp = owner[p], pparent[p]
+            for c in comps:
+                pc = par[c]
+                for d in comps:
                     if c == d:
                         continue
-                    self.add(-self.owner(p, d), -self.par(c, d), self.pparent(p, c))
-                    self.add(-self.pparent(p, c), -self.owner(p, d), self.par(c, d))
-            for d in self.comps:
-                self.add(-self.owner(p, d), -self.top(d), self.ptop(p))
-                self.add(-self.ptop(p), -self.owner(p, d), self.top(d))
+                    emit((-op[d], -pc[d], pp[c]))
+                    emit((-pp[c], -op[d], pc[d]))
+            for d in comps:
+                emit((-op[d], -top[d], ptop[p]))
+                emit((-ptop[p], -op[d], top[d]))
 
-        for p in self.slots:
-            for q in self.slots:
+        for p in slots:
+            op, pp, ptype_p, ip = owner[p], pparent[p], ptype[p], pin[p]
+            for q in slots:
                 if p == q:
                     continue
-                cn = self.conn(p, q)
-                self.add(-cn, self.used(p))
-                self.add(-cn, self.used(q))
-                for t in self.types:
-                    self.add(-cn, -self.ptype(p, t), self.ptype(q, t))
-                for c in self.comps:
-                    self.add(-cn, -self.owner(p, c), -self.owner(q, c))
+                oq, pq, ptype_q, iq = owner[q], pparent[q], ptype[q], pin[q]
+                cn = conn[p][q]
+                emit((-cn, used[p]))
+                emit((-cn, used[q]))
+                for t in types:
+                    emit((-cn, -ptype_p[t], ptype_q[t]))
+                for c in comps:
+                    emit((-cn, -op[c], -oq[c]))
                 # Directions: IN -> OUT never occurs.
-                self.add(-cn, -self.pin(p), self.pin(q))
+                emit((-cn, -ip, iq))
                 # OUT -> IN: the owners are siblings (same parent, or both top).
-                for c in self.comps:
-                    self.add(-cn, self.pin(p), -self.pin(q), -self.pparent(p, c), self.pparent(q, c))
-                    self.add(-cn, self.pin(p), -self.pin(q), -self.pparent(q, c), self.pparent(p, c))
-                self.add(-cn, self.pin(p), -self.pin(q), -self.ptop(p), self.ptop(q))
-                self.add(-cn, self.pin(p), -self.pin(q), -self.ptop(q), self.ptop(p))
+                for c in comps:
+                    emit((-cn, ip, -iq, -pp[c], pq[c]))
+                    emit((-cn, ip, -iq, -pq[c], pp[c]))
+                emit((-cn, ip, -iq, -ptop[p], ptop[q]))
+                emit((-cn, ip, -iq, -ptop[q], ptop[p]))
                 # IN -> IN: input forwarding, p's owner is the parent of q's.
-                for c in self.comps:
-                    self.add(-cn, -self.pin(p), -self.pin(q), -self.owner(p, c), self.pparent(q, c))
+                for c in comps:
+                    emit((-cn, -ip, -iq, -op[c], pq[c]))
                 # OUT -> OUT: output forwarding, q's owner is the parent of p's.
-                for c in self.comps:
-                    self.add(-cn, self.pin(p), self.pin(q), -self.owner(q, c), self.pparent(p, c))
+                for c in comps:
+                    emit((-cn, ip, iq, -oq[c], pp[c]))
         # At most one incoming connector per port.
-        for q in self.slots:
-            self._amo([self.conn(p, q) for p in self.slots if p != q])
+        for q in slots:
+            self._amo([conn[p][q] for p in slots if p != q])
 
     def _reachability(self) -> None:
         self.begin("reachability")
-        for p in self.slots:
-            for q in self.slots:
+        slots, conn, var = self.slots, self.conn, self.vm.var
+        reach = self.reach
+        emit = self.clauses.append
+        for p in slots:
+            rp, cp = reach[p], conn[p]
+            for q in slots:
                 if p == q:
                     continue
-                self.add(-self.conn(p, q), self.reach(p, q))
+                emit((-cp[q], rp[q]))
                 # Each step witness is a full biconditional: a true reach
                 # literal must be justified by an edge or a witness, and
                 # since connector graphs are acyclic the justification
                 # chains ground out, making the decoded relation exactly
                 # the transitive closure.
-                witnesses = [self.conn(p, q)]
-                for r in self.slots:
-                    if r in (p, q):
+                witnesses = [cp[q]]
+                for r in slots:
+                    if r == p or r == q:
                         continue
-                    s = self.vm.var("reachstep", p, r, q)
-                    self.add(-s, self.reach(p, r))
-                    self.add(-s, self.conn(r, q))
-                    self.add(-self.reach(p, r), -self.conn(r, q), s)
-                    self.add(-s, self.reach(p, q))
+                    s = var("reachstep", p, r, q)
+                    crq = conn[r][q]
+                    emit((-s, rp[r]))
+                    emit((-s, crq))
+                    emit((-rp[r], -crq, s))
+                    emit((-s, rp[q]))
                     witnesses.append(s)
-                self.add(-self.reach(p, q), *witnesses)
+                emit((-rp[q], *witnesses))
 
     # -- views and the specification formula -----------------------------------
 
     def _type_present(self, t: str) -> int:
-        return self.or_var(("typepresent", t), [self.ptype(p, t) for p in self.slots])
+        return self.or_var(("typepresent", t), [self.ptype[p][t] for p in self.slots])
 
     def _port_ok(self, c: str, port: Port) -> int:
         """Some slot realizes this declared view/library port."""
-        key = ("portok", c, port.name, port.direction.value, port.type)
+        n, d, t = port.name, port.direction.value, port.type
+        sign = 1 if port.direction is Direction.IN else -1
         lits = []
         for p in self.slots:
-            conj = [self.owner(p, c), self.pname(p, port.name)]
-            conj.append(self.pin(p) if port.direction is Direction.IN else -self.pin(p))
-            if port.type is not None:
-                conj.append(self.ptype(p, port.type))
-            lits.append(self.and_var(("portsel", c, port.name, port.direction.value, port.type, p), conj))
-        return self.or_var(key, lits)
+            conj = [self.owner[p][c], self.pname[p][n], sign * self.pin[p]]
+            if t is not None:
+                conj.append(self.ptype[p][t])
+            lits.append(self.and_var(("portsel", c, n, d, t, p), conj))
+        return self.or_var(("portok", c, n, d, t), lits)
 
     def _endpoint_sel(self, p: int, c: str, n: str | None, t: str | None) -> int:
-        conj = [self.owner(p, c)]
+        conj = [self.owner[p][c]]
         if n is not None:
-            conj.append(self.pname(p, n))
+            conj.append(self.pname[p][n])
         if t is not None:
-            conj.append(self.ptype(p, t))
+            conj.append(self.ptype[p][t])
         return self.and_var(("endsel", c, n, t, p), conj)
 
     def _abs_conn_ok(self, view: CncView, idx: int) -> int:
@@ -524,14 +525,11 @@ class _Encoder:
         key = ("acok", ac.src_cmp, ac.src_port, ac.src_type, ac.tgt_cmp, ac.tgt_port, ac.tgt_type)
         if (v := self.vm.get(*key)) is not None:
             return v
-        lits = []
-        for p in self.slots:
-            for q in self.slots:
-                if p == q:
-                    continue
-                src = self._endpoint_sel(p, ac.src_cmp, ac.src_port, ac.src_type)
-                tgt = self._endpoint_sel(q, ac.tgt_cmp, ac.tgt_port, ac.tgt_type)
-                lits.append(self.and_var(key + ("pair", p, q), [src, tgt, self.reach(p, q)]))
+        src = _Table(partial(self._endpoint_sel, c=ac.src_cmp, n=ac.src_port, t=ac.src_type))
+        tgt = _Table(partial(self._endpoint_sel, c=ac.tgt_cmp, n=ac.tgt_port, t=ac.tgt_type))
+        reach = self.reach
+        lits = [self.and_var(key + ("pair", p, q), [src[p], tgt[q], reach[p][q]])
+                for p in self.slots for q in self.slots if p != q]
         return self.or_var(key, lits)
 
     def _views(self) -> None:
@@ -542,7 +540,7 @@ class _Encoder:
             for t in sorted(view.types):
                 conjuncts.append(self._type_present(t))
             for c in view.components:
-                conjuncts.append(self.ex(c.name))
+                conjuncts.append(self.ex[c.name])
                 for port in c.ports:
                     conjuncts.append(self._port_ok(c.name, port))
             cnames = [c.name for c in view.components]
@@ -550,18 +548,18 @@ class _Encoder:
                 for b in cnames:
                     if a == b:
                         continue
-                    lit = self.subt(a, b)
+                    lit = self.subt[a][b]
                     conjuncts.append(lit if (a, b) in view.contains else -lit)
             for i in range(len(view.abs_connectors)):
                 conjuncts.append(self._abs_conn_ok(view, i))
-            v = self.viewvar(name)
+            v = self.view[name]
             for l in conjuncts:
                 self.add(-v, l)
             self.add(v, *(-l for l in conjuncts))
 
     def _formula_lit(self, f: Formula) -> int:
         if isinstance(f, Var):
-            return self.viewvar(f.name)
+            return self.view[f.name]
         if isinstance(f, Not):
             return -self._formula_lit(f.arg)
         lits = [self._formula_lit(a) for a in f.args]
@@ -583,16 +581,16 @@ class _Encoder:
             c = decl.component
             for d in self.comps:
                 if d != c:
-                    self.add(-self.ex(c), -self.par(c, d))
+                    self.add(-self.ex[c], -self.par[c][d])
             allowed = {n for n, _, _ in decl.interface}
             for n, direction, t in decl.interface:
-                self.add(-self.ex(c), self._port_ok(c, Port(n, direction, t)))
+                self.add(-self.ex[c], self._port_ok(c, Port(n, direction, t)))
                 pin_lit = 1 if direction is Direction.IN else -1
                 for p in self.slots:
-                    self.add(-self.owner(p, c), -self.pname(p, n), pin_lit * self.pin(p))
-                    self.add(-self.owner(p, c), -self.pname(p, n), self.ptype(p, t))
+                    self.add(-self.owner[p][c], -self.pname[p][n], pin_lit * self.pin[p])
+                    self.add(-self.owner[p][c], -self.pname[p][n], self.ptype[p][t])
             for p in self.slots:
-                self.add(-self.owner(p, c), *(self.pname(p, n) for n in sorted(allowed) if n in self.names))
+                self.add(-self.owner[p][c], *(self.pname[p][n] for n in sorted(allowed) if n in self.names))
 
     def _interface_complete(self) -> None:
         self.begin("interface-complete")
@@ -600,14 +598,14 @@ class _Encoder:
             declared = self.spec.views[vname].by_name[cname].ports
             allowed = {port.name for port in declared}
             for port in declared:
-                self.add(-self.ex(cname), self._port_ok(cname, port))
+                self.add(-self.ex[cname], self._port_ok(cname, port))
                 pin_lit = 1 if port.direction is Direction.IN else -1
                 for p in self.slots:
-                    self.add(-self.owner(p, cname), -self.pname(p, port.name), pin_lit * self.pin(p))
+                    self.add(-self.owner[p][cname], -self.pname[p][port.name], pin_lit * self.pin[p])
                     if port.type is not None:
-                        self.add(-self.owner(p, cname), -self.pname(p, port.name), self.ptype(p, port.type))
+                        self.add(-self.owner[p][cname], -self.pname[p][port.name], self.ptype[p][port.type])
             for p in self.slots:
-                self.add(-self.owner(p, cname), *(self.pname(p, n) for n in sorted(allowed)))
+                self.add(-self.owner[p][cname], *(self.pname[p][n] for n in sorted(allowed)))
 
     # -- styles ----------------------------------------------------------------
 
@@ -620,7 +618,7 @@ class _Encoder:
             self._conncomp_defined.add((p, b))
             for q in self.slots:
                 if q != p:
-                    self.add(-self.conn(p, q), -self.owner(q, b), v)
+                    self.add(-self.conn[p][q], -self.owner[q][b], v)
         return v
 
     def _style(self) -> None:
@@ -640,25 +638,25 @@ class _Encoder:
         noinc, noout = {}, {}
         for p in self.slots:
             noinc[p] = self.vm.var("noinc", p)
-            self.add(noinc[p], *(self.conn(r, p) for r in self.slots if r != p))
+            self.add(noinc[p], *(self.conn[r][p] for r in self.slots if r != p))
             noout[p] = self.vm.var("noout", p)
-            self.add(noout[p], *(self.conn(p, r) for r in self.slots if r != p))
+            self.add(noout[p], *(self.conn[p][r] for r in self.slots if r != p))
         ee = {(a, b): self.vm.var("ee", a, b)
               for a in self.comps for b in self.comps if a != b}
         snk = {}
         for q in self.slots:
             for b in self.comps:
                 snk[(q, b)] = self.vm.var("eesnk", q, b)
-                self.add(-noout[q], -self.owner(q, b), snk[(q, b)])
+                self.add(-noout[q], -self.owner[q][b], snk[(q, b)])
         for p in self.slots:
             for b in self.comps:
                 er = self.vm.var("eereach", p, b)
                 for q in self.slots:
                     if q != p:
-                        self.add(-self.reach(p, q), -snk[(q, b)], er)
+                        self.add(-self.reach[p][q], -snk[(q, b)], er)
                 for a in self.comps:
                     if a != b:
-                        self.add(-noinc[p], -self.owner(p, a), -er, ee[(a, b)])
+                        self.add(-noinc[p], -self.owner[p][a], -er, ee[(a, b)])
         eet = {(a, b): self.vm.var("eet", a, b)
                for a in self.comps for b in self.comps if a != b}
         for (a, b), v in ee.items():
@@ -682,7 +680,7 @@ class _Encoder:
             for q in self.slots:
                 if p == q:
                     continue
-                w = self.and_var(key + (p, q), [self.owner(p, a), self.owner(q, b), self.conn(p, q)])
+                w = self.and_var(key + (p, q), [self.owner[p][a], self.owner[q][b], self.conn[p][q]])
                 lits.append(w)
         return self.or_var(key, lits)
 
@@ -693,7 +691,7 @@ class _Encoder:
             for other in clients:
                 if other != client:
                     for p in self.slots:
-                        self.add(-self.owner(p, client), -self._conn_to_comp(p, other))
+                        self.add(-self.owner[p][client], -self._conn_to_comp(p, other))
 
     def _style_layered(self, layers: tuple[tuple[str, ...], ...]) -> None:
         self.begin("style-layered")
@@ -707,7 +705,7 @@ class _Encoder:
                     continue
                 cconn[(a, b)] = self.vm.var("cconn", a, b)
                 for p in self.slots:
-                    self.add(-self.owner(p, a), -self._conn_to_comp(p, b), cconn[(a, b)])
+                    self.add(-self.owner[p][a], -self._conn_to_comp(p, b), cconn[(a, b)])
         for t1 in members:
             for t2 in members:
                 if abs(layer_of[t1] - layer_of[t2]) <= 1:
@@ -718,9 +716,9 @@ class _Encoder:
                             continue
                         clause = [-cconn[(a, b)]]
                         if t1 != a:
-                            clause.append(-self.subt(t1, a))
+                            clause.append(-self.subt[t1][a])
                         if t2 != b:
-                            clause.append(-self.subt(t2, b))
+                            clause.append(-self.subt[t2][b])
                         self.add(*clause)
 
 

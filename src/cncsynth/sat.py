@@ -569,7 +569,7 @@ def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
     result (UNSAT when the space is exhausted, or RESOURCE_LIMIT) is yielded
     last.  With the internal engine the search is incremental: learned
     clauses and saved phases carry over between solutions."""
-    proj = sorted(set(projection)) if projection else list(range(1, cnf.num_vars + 1))
+    proj = sorted(set(projection)) if projection is not None else list(range(1, cnf.num_vars + 1))
     if not proj:
         raise ValueError("projection must not be empty")
     return _answers(cnf, cfg, [], proj)
@@ -693,6 +693,7 @@ def parse_dimacs_result(text: str) -> SolveResult:
     """Parse SAT-competition style solver output ('s' and 'v' lines)."""
     status = None
     lits: list[int] = []
+    seen_v = False
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s "):
@@ -706,12 +707,12 @@ def parse_dimacs_result(text: str) -> SolveResult:
             else:
                 raise SolverError(f"unrecognized solver verdict {verdict!r}")
         elif line.startswith("v ") or line == "v":
+            seen_v = True
             lits.extend(int(t) for t in line[1:].split())
     if status is None:
         raise SolverError("solver output contains no 's' line")
     if status != SAT:
         return SolveResult(status)
-    assignment = {abs(l): l > 0 for l in lits if l != 0}
-    if not assignment:
+    if not seen_v:
         raise SolverError("SAT result without 'v' assignment lines")
-    return SolveResult(SAT, assignment)
+    return SolveResult(SAT, {abs(l): l > 0 for l in lits if l != 0})

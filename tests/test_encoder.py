@@ -7,10 +7,18 @@ the (independent) checker accepts.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES
 from oracles import oracle_satisfies
 
 from cncsynth.dsl import parse_view
@@ -21,6 +29,7 @@ from cncsynth.encoder import (
     encode,
 )
 from cncsynth.checker import evaluate_spec
+from cncsynth.cli import load_spec
 from cncsynth.model import (
     CncModel,
     Component,
@@ -30,6 +39,7 @@ from cncsynth.model import (
     PortRef,
     validate_model,
 )
+from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
 from cncsynth.speclang import LibraryDecl, ScopeHints, Var, ViewSpec, resolve
 from cncsynth.synth import enumerate_models
 
@@ -155,3 +165,71 @@ def test_enumeration_completeness_with_abstract_connector():
     got = set(enumerate_models(spec, scope=SCOPE))
     assert got == expected
     assert expected, "the property must not hold vacuously"
+
+
+# --- The encoding is pinned: a change to how clauses are built must not move
+# a single variable or literal ------------------------------------------------
+
+DIGEST_3SAT = {
+    "3sat-n1": Cnf3Formula(1, ((1,), (-1, 1), (1,))),
+    # The formula whose search test_sat.py pins.
+    "3sat-n6-pinned": Cnf3Formula(6, (
+        (-1, -4, -5), (-2, 4, -3), (-5, -3, 1), (-5, 3, -6), (-5, -6, 4), (-5, -3, 2),
+        (2, -6, -4), (6, -1, -3), (-1, 4, 2), (6, 5, 3), (-4, -1, 6), (-5, 2, -1),
+        (-2, -5, 3), (-5, 2, 1), (-6, 5, 3), (-4, 1, 6), (-3, -5, 6))),
+    "3sat-n6": Cnf3Formula(6, ((1, -2, 3), (-4, 5), (-6,), (2, 4, 6), (-1, -3, -5), (3, -4, 6))),
+}
+
+# sha256 of repr((num_vars, clauses, groups, comments)) for each input.
+CNF_DIGESTS = {
+    "Lander": "74e59ac5f59cba5d851d6755038cb4b07d318400bc2dc3ac6f2133f56fb90b86",
+    "S1": "9010dbe71dd2c39dac48ad987aafa610a7e6547bc675a3465a1c4a051b2b1293",
+    "S1amp": "fa28ef15f224a92bb39c2914d93edc3531b48da39badbd508557b81433e728dc",
+    "S1hier": "8cd9f1a6f099723162f5f467feff0dd245d88d8ce2b9d4b6d85911d8298da717",
+    "S1lib": "1ea782e40de5f563341a40a1e4b439ab8779474086dd4bb2af4c02be6cc18b02",
+    "S2": "955314da40083db7bba80ab04847a6ba2278e73c5efc3e1a06bbfea6d4dafab9",
+    "S2Fixed": "33797e4bdaff58933fb480fe3964f73d9f3e6e57ae9d80e97b300eb62df21753",
+    "S2NoNest": "6d74f43d18bc10457ac6790cb07c5a5c1dbfd116b0ed153bce72737dc0c2b06e",
+    "S1lib@ports=10": "ed14b80d81d4c175c5a587096c5908d0a744996223360eea640df65a9d9ab93a",
+    "S1@ports=19": "9010dbe71dd2c39dac48ad987aafa610a7e6547bc675a3465a1c4a051b2b1293",
+    "3sat-n1": "3a43dc93e81ba8af68bb3a99482df96d2a6e3e00ac8155bb65806bf055ff7835",
+    "3sat-n6-pinned": "e8b90e7e29bc806977404985ef5768d17e37e47f06c44b875c10a836d8e930ba",
+    "3sat-n6": "ba2fa8432ee6f008353654956cb802775f7660ec0eb11cf258481e8ac1e978ef",
+}
+
+
+def cnf_digest(cnf) -> str:
+    text = repr((cnf.num_vars, cnf.clauses, cnf.groups, cnf.comments))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cnf_digests() -> dict[str, str]:
+    """Digest of every fixture spec at its own scope, of S1lib at ports=10
+    (the rj-unsat instance) and S1 at ports=19 (criterion 1, through the
+    override: S1.cncspec sets the same scope), and of three 3SAT
+    reductions."""
+    specs = {path.stem: load_spec(str(path)) for path in sorted(FIXTURES.rglob("*.cncspec"))}
+    for name, ports in (("S1lib", 10), ("S1", 19)):
+        spec = specs[name]
+        specs[f"{name}@ports={ports}"] = dataclasses.replace(
+            spec, scope_hints=dataclasses.replace(spec.scope_hints, ports=ports))
+    out = {name: cnf_digest(encode(spec).cnf) for name, spec in specs.items()}
+    for name, f in DIGEST_3SAT.items():
+        out[name] = cnf_digest(encode(resolve(reduce_3sat(f)), reduction_scope(f)).cnf)
+    return out
+
+
+def test_cnf_digests_are_pinned():
+    assert cnf_digests() == CNF_DIGESTS
+
+
+def test_cnf_digests_ignore_the_hash_seed():
+    # Set and dict iteration order over strings follows PYTHONHASHSEED; the
+    # encoding must not.
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_encoder import cnf_digests; print(json.dumps(cnf_digests()))")
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": str(tests.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(tests)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == CNF_DIGESTS

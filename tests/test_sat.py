@@ -123,6 +123,9 @@ def test_parse_dimacs_result():
         parse_dimacs_result("nothing here\n")
     with pytest.raises(SolverError):
         parse_dimacs_result("s SATISFIABLE\n")  # missing v lines
+    # A solver that prints only its true literals answers an all-false model
+    # with a bare terminator.
+    assert parse_dimacs_result("s SATISFIABLE\nv 0\n").assignment == {}
 
 
 def test_extended_groups():
@@ -153,6 +156,9 @@ def test_iter_assignments_full_projection_default():
 def test_iter_assignments_rejects_empty_projection():
     with pytest.raises(ValueError):
         next(iter_assignments(CnfInstance(0, ()), projection=[]))
+    # An empty projection is not "all variables", also when there are some.
+    with pytest.raises(ValueError):
+        iter_assignments(CnfInstance(2, ((1, 2),)), projection=[])
 
 
 # --- the search is pinned: a change to the solver's bookkeeping must not move
@@ -328,3 +334,10 @@ def test_external_enumeration_matches_internal(tmp_path):
     external = projected(fake_solver(tmp_path, BRUTE_FORCE))
     assert external == projected(SolverConfig())
     assert external == ([SAT, SAT, SAT, UNSAT], {(True, True), (True, False), (False, True)})
+
+
+def test_external_solver_all_false_model(tmp_path):
+    # The brute-force solver prints "v 0" for a model with no true literal.
+    cnf = CnfInstance(2, ((-1,), (-2, -1)))
+    result = solve(cnf, fake_solver(tmp_path, BRUTE_FORCE))
+    assert result.status == SAT and check_assignment(cnf, result.assignment)
