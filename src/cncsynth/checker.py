@@ -11,8 +11,8 @@ from cncsynth.model import (
     CncModel,
     CncView,
     PortRef,
-    contains_transitive,
     port_chain_graph,
+    transitive_closure,
     validate_model,
 )
 from cncsynth.speclang import (
@@ -62,19 +62,27 @@ def _endpoint_ports(m: CncModel, cmp: str, port_name: str | None, port_type: str
     return out
 
 
-def satisfies(m: CncModel, v: CncView,
-              _multiple_tops_ok: bool = False) -> SatisfactionResult:
-    """Check whether model ``m`` satisfies view ``v``.
+def _require_well_formed(m: CncModel, allow_multiple_tops: bool) -> None:
+    bad = validate_model(m, allow_multiple_tops=allow_multiple_tops)
+    if bad:
+        raise IllFormedModelError(bad)
+
+
+def satisfies(m: CncModel, v: CncView) -> SatisfactionResult:
+    """Check whether model ``m`` satisfies view ``v``; raise
+    :class:`IllFormedModelError` unless ``m`` is well-formed with one top.
 
     Inclusion of types/components/ports, the containment biconditional
     (view containment iff model transitive containment, so unrelated view
     components must be independent in the model), and a connector chain for
     every abstract connector.  Runs BFS on the port graph, so polynomial.
     """
-    bad = validate_model(m, allow_multiple_tops=_multiple_tops_ok)
-    if bad:
-        raise IllFormedModelError(bad)
+    _require_well_formed(m, allow_multiple_tops=False)
+    return _judge_view(m, v)
 
+
+def _judge_view(m: CncModel, v: CncView) -> SatisfactionResult:
+    """:func:`satisfies` for a model already validated."""
     violations: list[ViewViolation] = []
     for t in sorted(v.types):
         if t not in m.types:
@@ -104,7 +112,7 @@ def satisfies(m: CncModel, v: CncView,
             if a == b or a not in m.by_name or b not in m.by_name:
                 continue
             in_view = (a, b) in v.contains
-            in_model = contains_transitive(m, a, b)
+            in_model = (a, b) in m.contains
             if in_view and not in_model:
                 violations.append(ViewViolation("CONTAINMENT", f"{a} > {b}",
                                                 "view containment not realized in the model"))
@@ -189,44 +197,16 @@ def end_to_end_graph(m: CncModel) -> set[tuple[str, str]]:
     connector."""
     graph = port_chain_graph(m)
     has_incoming = {t for _, t in graph.edges}
-    has_outgoing = {s for s, _ in graph.edges}
-    edges: set[tuple[str, str]] = set()
-    for c in m.components:
-        sources = [PortRef(c.name, p.name) for p in c.ports if PortRef(c.name, p.name) not in has_incoming]
-        reachable: set[PortRef] = set()
-        work = list(sources)
-        seen = set(work)
-        while work:
-            p = work.pop()
-            for q in graph.successors(p):
-                if q not in seen:
-                    seen.add(q)
-                    reachable.add(q)
-                    work.append(q)
-        for q in reachable:
-            if q not in has_outgoing:
-                edges.add((c.name, q.component))
-    return edges
+    return {(p.component, q.component) for p, q in transitive_closure(graph.adjacency)
+            if p not in has_incoming and q not in graph.adjacency}
 
 
 def _cycle_violations(edges: set[tuple[str, str]]) -> list[StyleViolation]:
     adj: dict[str, set[str]] = {}
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
-    # Transitive closure, then look for mutually-reaching pairs or self loops.
-    out = []
-    for start in sorted(adj):
-        seen: set[str] = set()
-        work = list(adj[start])
-        while work:
-            n = work.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            work.extend(adj.get(n, ()))
-        if start in seen:
-            out.append(StyleViolation(start, "end-to-end communication cycle through component"))
-    return out
+    return [StyleViolation(a, "end-to-end communication cycle through component")
+            for a, b in sorted(transitive_closure(adj)) if a == b]
 
 
 def _style_violations(m: CncModel, style: StyleConfig) -> list[StyleViolation]:
@@ -237,8 +217,7 @@ def _style_violations(m: CncModel, style: StyleConfig) -> list[StyleViolation]:
         return _cycle_violations(end_to_end_graph(m))
 
     if style.kind is StyleKind.CLIENT_SERVER:
-        expected = {style.server, *style.clients}
-        if set(m.tops) != expected:
+        if set(m.tops) != set(style.tops):
             out.append(StyleViolation(", ".join(m.tops), "top components are not exactly the server and clients"))
         direct: dict[str, set[str]] = {}
         for conn in m.connectors:
@@ -257,20 +236,16 @@ def _style_violations(m: CncModel, style: StyleConfig) -> list[StyleViolation]:
 
     # Layered: tops are the layer members; direct connectors only within a
     # layer or between consecutive layers (judged by top-level ancestors).
-    members = [c for layer in style.layers for c in layer]
-    if set(m.tops) != set(members):
+    if set(m.tops) != set(style.tops):
         out.append(StyleViolation(", ".join(m.tops), "top components are not exactly the layer members"))
     layer_of: dict[str, int] = {}
     for i, layer in enumerate(style.layers):
         for c in layer:
             layer_of[c] = i
-    def top_layer(cname: str) -> int | None:
-        for anc in m.tops:
-            if anc == cname or contains_transitive(m, anc, cname):
-                return layer_of.get(anc)
-        return None
+    tops = set(m.tops)
+    top_of = {d: a for a, d in m.contains if a in tops} | {t: t for t in tops}
     for conn in m.connectors:
-        li, lj = top_layer(conn.src.component), top_layer(conn.tgt.component)
+        li, lj = (layer_of.get(top_of.get(ref.component)) for ref in (conn.src, conn.tgt))
         if li is None or lj is None or abs(li - lj) > 1:
             out.append(StyleViolation(str(conn), "connector crosses non-consecutive layers"))
     return out
@@ -279,10 +254,11 @@ def _style_violations(m: CncModel, style: StyleConfig) -> list[StyleViolation]:
 def evaluate_spec(m: CncModel, spec: ResolvedSpec) -> EvaluationResult:
     """Full post-hoc verification of a model against a resolved specification:
     the pattern-expanded formula over per-view satisfaction, plus library,
-    interface-complete, and style conformance."""
-    multi_ok = spec.style.kind in (StyleKind.CLIENT_SERVER, StyleKind.LAYERED)
-    per_view = {name: satisfies(m, view, _multiple_tops_ok=multi_ok).satisfied
-                for name, view in sorted(spec.views.items())}
+    interface-complete, and style conformance.  Raises
+    :class:`IllFormedModelError` first if ``m`` is ill-formed; the style's
+    top-level members may be several tops."""
+    _require_well_formed(m, allow_multiple_tops=bool(spec.style.tops))
+    per_view = {name: _judge_view(m, view).satisfied for name, view in sorted(spec.views.items())}
     formula_value = evaluate_formula(spec.expanded_formula, per_view)
     constraint_violations = (
         _library_violations(m, spec.library)

@@ -113,9 +113,7 @@ def _styled_spec(args: argparse.Namespace, spec: ResolvedSpec) -> ResolvedSpec:
     probe = parse_spec(f"spec _override {{ views {{ _V }} formula: _V; style {args.style}; }}",
                        "<--style>")
     style = probe.style
-    named = [style.server, *style.clients] if style.server else \
-        [c for layer in style.layers for c in layer]
-    for c in named:
+    for c in style.tops:
         if c not in spec.component_names:
             raise CliError(f"--style references unknown component {c!r}")
     return dataclasses.replace(spec, style=style)

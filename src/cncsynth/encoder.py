@@ -24,6 +24,7 @@ forwarding), which rules out circular justification of reachability.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -65,8 +66,9 @@ class Scope:
 
 def compute_scope(spec: ResolvedSpec) -> Scope:
     """Default scope: every named component, one slot per declared port plus
-    slack, declared port names and types plus fresh ones.  Spec scope hints
-    override the counts."""
+    slack, declared port names and types plus fresh ones.  A port that an
+    abstract connector names counts as declared.  Spec scope hints override
+    the counts."""
     hints = spec.scope_hints
     declared: set[tuple[str, str]] = set()
     names: set[str] = set()
@@ -77,6 +79,11 @@ def compute_scope(spec: ResolvedSpec) -> Scope:
             for p in c.ports:
                 declared.add((c.name, p.name))
                 names.add(p.name)
+        for ac in v.abs_connectors:
+            for c, n in ((ac.src_cmp, ac.src_port), (ac.tgt_cmp, ac.tgt_port)):
+                if n is not None:
+                    declared.add((c, n))
+                    names.add(n)
     for d in spec.library:
         for n, _, t in d.interface:
             declared.add((d.component, n))
@@ -86,9 +93,15 @@ def compute_scope(spec: ResolvedSpec) -> Scope:
     ports = hints.ports if hints.ports is not None else len(declared) + 2
     extra_names = hints.extra_names if hints.extra_names is not None else 2
     extra_types = hints.extra_types if hints.extra_types is not None else (0 if types else 1)
-    name_pool = sorted(names) + [f"{FRESH_PORT_PREFIX}{i}" for i in range(1, extra_names + 1)]
-    type_pool = sorted(types) + [f"{FRESH_TYPE_PREFIX}{i}" for i in range(1, extra_types + 1)]
+    name_pool = sorted(names) + _fresh(FRESH_PORT_PREFIX, extra_names, names)
+    type_pool = sorted(types) + _fresh(FRESH_TYPE_PREFIX, extra_types, types)
     return Scope(tuple(spec.component_names), ports, tuple(name_pool), tuple(type_pool))
+
+
+def _fresh(prefix: str, count: int, taken: set[str]) -> list[str]:
+    """``count`` names ``prefix1``, ``prefix2``, ... that are not in ``taken``."""
+    numbered = (f"{prefix}{i}" for i in itertools.count(1))
+    return list(itertools.islice((n for n in numbered if n not in taken), count))
 
 
 class VarMap:
@@ -207,10 +220,11 @@ class _Encoder:
             for t in v.types:
                 if t not in types:
                     errors.append(f"type {t!r} (view {v.name}) missing from the scope")
-            for c in v.components:
-                for p in c.ports:
-                    if p.name not in names:
-                        errors.append(f"port name {p.name!r} (view {v.name}) missing from the scope")
+            port_names = [p.name for c in v.components for p in c.ports]
+            port_names += [n for ac in v.abs_connectors for n in (ac.src_port, ac.tgt_port) if n is not None]
+            for n in port_names:
+                if n not in names:
+                    errors.append(f"port name {n!r} (view {v.name}) missing from the scope")
         for d in self.spec.library:
             for n, _, t in d.interface:
                 if n not in names:
@@ -313,8 +327,8 @@ class _Encoder:
             emit((-t, ex[c]))
             self.clauses.extend((-t, -v) for v in parents[c])
             emit((-ex[c], t, *parents[c]))
-        members = self._style_top_members()
-        if members is None:
+        members = self.spec.style.tops
+        if not members:
             tops = [top[c] for c in comps]
             emit(tuple(tops))
             self._amo(tops)
@@ -325,14 +339,6 @@ class _Encoder:
                     emit((top[c],))
                 else:
                     emit((-top[c],))
-
-    def _style_top_members(self) -> set[str] | None:
-        style = self.spec.style
-        if style.kind is StyleKind.CLIENT_SERVER:
-            return {style.server, *style.clients}
-        if style.kind is StyleKind.LAYERED:
-            return {c for layer in style.layers for c in layer}
-        return None
 
     def _transitive_containment(self) -> None:
         self.begin("transitive-containment")

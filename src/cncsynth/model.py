@@ -13,6 +13,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterable, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 class Direction(Enum):
@@ -92,6 +95,13 @@ class AbstractConnector:
         return f"{src} -> {tgt}"
 
 
+def _connector_key(ac: AbstractConnector) -> tuple[str, ...]:
+    """Field order, with an absent port or type read as "" (None and str
+    do not compare)."""
+    return (ac.src_cmp, ac.tgt_cmp, ac.src_port or "", ac.tgt_port or "",
+            ac.src_type or "", ac.tgt_type or "")
+
+
 def _index(components: tuple[Component, ...]) -> dict[str, Component]:
     return {c.name: c for c in components}
 
@@ -134,6 +144,11 @@ class CncModel:
     def tops(self) -> tuple[str, ...]:
         return tuple(sorted(c.name for c in self.components if c.name not in self.parent_map))
 
+    @cached_property
+    def contains(self) -> frozenset[tuple[str, str]]:
+        """Transitive closure of the model's containment edges."""
+        return transitive_closure({c.name: c.subcomponents for c in self.components})
+
     @property
     def top(self) -> str:
         if len(self.tops) != 1:
@@ -164,7 +179,7 @@ class CncView:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(sorted(self.components, key=lambda c: c.name)))
-        object.__setattr__(self, "abs_connectors", tuple(sorted(set(self.abs_connectors))))
+        object.__setattr__(self, "abs_connectors", tuple(sorted(set(self.abs_connectors), key=_connector_key)))
         object.__setattr__(self, "types", frozenset(self.types))
 
     @staticmethod
@@ -182,13 +197,15 @@ class CncView:
     @cached_property
     def contains(self) -> frozenset[tuple[str, str]]:
         """Transitive closure of the view's declared containment edges."""
-        return _closure({c.name: set(c.subcomponents) for c in self.components})
+        return transitive_closure({c.name: c.subcomponents for c in self.components})
 
 
-def _closure(edges: dict[str, set[str]]) -> frozenset[tuple[str, str]]:
-    pairs: set[tuple[str, str]] = set()
+def transitive_closure(edges: Mapping[T, Iterable[T]]) -> frozenset[tuple[T, T]]:
+    """All pairs ``(a, b)`` joined by a path of one or more edges that starts
+    at a key ``a`` of ``edges``; ``(a, a)`` marks a cycle through ``a``."""
+    pairs: set[tuple[T, T]] = set()
     for root in edges:
-        seen: set[str] = set()
+        seen: set[T] = set()
         work = deque(edges[root])
         while work:
             n = work.popleft()
@@ -240,7 +257,7 @@ def validate_model(m: CncModel, allow_multiple_tops: bool = False) -> list[Viola
         if len(parents) > 1:
             out.append(Violation("multiple-parents", child, f"contained in {', '.join(sorted(parents))}"))
     edges = {c.name: {s for s in c.subcomponents if s in known and s != c.name} for c in m.components}
-    for a, b in sorted(_closure(edges)):
+    for a, b in sorted(transitive_closure(edges)):
         if a == b:
             out.append(Violation("containment-cycle", a, "containment cycle through component"))
     if not allow_multiple_tops and len(m.components) > 0 and len(m.tops) != 1:
@@ -303,18 +320,7 @@ def contains_transitive(m: CncModel, parent: str, child: str) -> bool:
     """True iff ``child`` is strictly inside ``parent`` in the containment tree."""
     m.component(parent)
     m.component(child)
-    work = deque(m.component(parent).subcomponents)
-    seen: set[str] = set()
-    while work:
-        n = work.popleft()
-        if n == child:
-            return True
-        if n in seen:
-            continue
-        seen.add(n)
-        if n in m.by_name:
-            work.extend(m.by_name[n].subcomponents)
-    return False
+    return (parent, child) in m.contains
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,16 @@ class StyleConfig:
             if len(flat) != len(set(flat)):
                 raise ValueError("layers must be disjoint")
 
+    @property
+    def tops(self) -> tuple[str, ...]:
+        """The components the style makes top-level: the server and clients,
+        or the layer members; none for the other styles."""
+        if self.kind is StyleKind.CLIENT_SERVER:
+            return (self.server, *self.clients)
+        if self.kind is StyleKind.LAYERED:
+            return tuple(c for layer in self.layers for c in layer)
+        return ()
+
 
 @dataclass(frozen=True)
 class ScopeHints:
@@ -246,11 +256,7 @@ class ResolvedSpec:
     def component_names(self) -> list[str]:
         names = {c.name for v in self.views.values() for c in v.components}
         names.update(l.component for l in self.library)
-        if self.style.kind is StyleKind.CLIENT_SERVER:
-            names.add(self.style.server)
-            names.update(self.style.clients)
-        elif self.style.kind is StyleKind.LAYERED:
-            names.update(c for l in self.style.layers for c in l)
+        names.update(self.style.tops)
         return sorted(names)
 
 
@@ -299,16 +305,9 @@ def resolve(spec: ViewSpec) -> ResolvedSpec:
             errors.append(f"interface-complete marking references unknown component {cname!r} in view {vname!r}")
 
     all_components = {c.name for v in views.values() for c in v.components} | lib_names
-    style = spec.style
-    if style.kind is StyleKind.CLIENT_SERVER:
-        for c in (style.server, *style.clients):
-            if c not in all_components:
-                errors.append(f"style references unknown component {c!r}")
-    elif style.kind is StyleKind.LAYERED:
-        for layer in style.layers:
-            for c in layer:
-                if c not in all_components:
-                    errors.append(f"style references unknown component {c!r}")
+    for c in spec.style.tops:
+        if c not in all_components:
+            errors.append(f"style references unknown component {c!r}")
 
     if errors:
         raise SpecResolutionError(errors)

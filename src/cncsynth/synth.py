@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import permutations
 from typing import Iterator
 
 from cncsynth.checker import EvaluationResult, evaluate_spec
 from cncsynth.encoder import Encoding, Scope, decode, encode
-from cncsynth.model import CncModel, validate_model
+from cncsynth.model import CncModel, transitive_closure, validate_model
 from cncsynth.sat import (RESOURCE_LIMIT, SAT, SolveStats, SolverConfig,
                           iter_assignments, solve)
-from cncsynth.speclang import ResolvedSpec, StyleKind
+from cncsynth.speclang import ResolvedSpec
 
 
 class SynthOutcome(Enum):
@@ -43,56 +44,31 @@ class SynthResult:
 
 def verify_closures(enc: Encoding, assignment: dict[int, bool], model: CncModel) -> None:
     """Check that the solver's reach/subt variables are exactly the transitive
-    closures of the decoded model's connectors and containment."""
-    from cncsynth.model import PortRef, contains_transitive
-
-    vm = enc.varmap
-    for c in enc.scope.components:
-        for d in enc.scope.components:
-            if c == d:
-                continue
-            v = vm.get("subt", c, d)
-            if v is None:
-                continue
-            truth = (c in model.by_name and d in model.by_name
-                     and contains_transitive(model, c, d))
-            if assignment.get(v, False) != truth:
-                raise SoundnessError(f"subt({c}, {d}) is {assignment.get(v)}, closure says {truth}")
-
-    slot_ref: dict[int, PortRef] = {}
-    for p in range(enc.scope.ports):
-        v = vm.get("used", p)
-        if v is None or not assignment.get(v, False):
+    closures of the decoded model's containment and of the connectors between
+    used port slots."""
+    vm, scope = enc.varmap, enc.scope
+    for c, d in permutations(scope.components, 2):
+        v = vm.get("subt", c, d)
+        if v is None:
             continue
-        owner = next(c for c in enc.scope.components if assignment.get(vm.get("owner", p, c), False))
-        name = next(n for n in enc.scope.port_names if assignment.get(vm.get("pname", p, n), False))
-        slot_ref[p] = PortRef(owner, name)
-    edges = {(s, t) for s in slot_ref for t in slot_ref
-             if s != t and assignment.get(vm.get("conn", s, t), False)}
-    closure: set[tuple[int, int]] = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closure):
-            for b2, c in edges:
-                if b2 == b and (a, c) not in closure:
-                    closure.add((a, c))
-                    changed = True
-    for p in range(enc.scope.ports):
-        for q in range(enc.scope.ports):
-            if p == q:
-                continue
-            v = vm.get("reach", p, q)
-            if v is None:
-                continue
-            truth = (p, q) in closure
-            if assignment.get(v, False) != truth:
-                raise SoundnessError(f"reach({p}, {q}) is {assignment.get(v)}, closure says {truth}")
+        truth = (c, d) in model.contains
+        if assignment.get(v, False) != truth:
+            raise SoundnessError(f"subt({c}, {d}) is {assignment.get(v)}, closure says {truth}")
+
+    used = [p for p in range(scope.ports) if assignment.get(vm.get("used", p), False)]
+    reach = transitive_closure({p: [q for q in used if q != p and assignment.get(vm.get("conn", p, q), False)]
+                                for p in used})
+    for p, q in permutations(range(scope.ports), 2):
+        v = vm.get("reach", p, q)
+        if v is None:
+            continue
+        truth = (p, q) in reach
+        if assignment.get(v, False) != truth:
+            raise SoundnessError(f"reach({p}, {q}) is {assignment.get(v)}, closure says {truth}")
 
 
 def _verified(model: CncModel, spec: ResolvedSpec) -> EvaluationResult:
-    multi_ok = spec.style.kind in (StyleKind.CLIENT_SERVER, StyleKind.LAYERED)
-    bad = validate_model(model, allow_multiple_tops=multi_ok)
+    bad = validate_model(model, allow_multiple_tops=bool(spec.style.tops))
     if bad:
         raise SoundnessError("decoded model is ill-formed: " + "; ".join(str(v) for v in bad))
     evaluation = evaluate_spec(model, spec)

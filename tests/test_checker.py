@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import oracle_end_to_end_edges, oracle_satisfies
+from conftest import LANDER
+from oracles import _containment_closure, oracle_end_to_end_edges, oracle_satisfies
 
 from cncsynth.checker import (
     IllFormedModelError,
@@ -12,8 +13,9 @@ from cncsynth.checker import (
     evaluate_spec,
     satisfies,
 )
+from cncsynth.cli import load_spec
 from cncsynth.dsl import parse_model, parse_view
-from cncsynth.model import CncModel, CncView, Component, Port, PortRef, Direction
+from cncsynth.model import CncModel, CncView, Component, Port, PortRef, Direction, contains_transitive
 from cncsynth.speclang import (
     LibraryDecl,
     StyleConfig,
@@ -22,6 +24,7 @@ from cncsynth.speclang import (
     ViewSpec,
     resolve,
 )
+from cncsynth.synth import enumerate_models
 
 MODEL = parse_model("""
 component Joint {
@@ -135,6 +138,8 @@ def test_ill_formed_model_raises():
     v = parse_view("component A;", name="V")
     with pytest.raises(IllFormedModelError):
         satisfies(broken, v)
+    with pytest.raises(IllFormedModelError):
+        evaluate_spec(broken, resolve(ViewSpec("s", (v,), Var("V"))))
 
 
 def test_satisfies_agrees_with_oracle_on_samples():
@@ -151,6 +156,15 @@ def test_satisfies_agrees_with_oracle_on_samples():
 
 
 # --- end-to-end graph and full-spec evaluation --------------------------------
+
+def test_closures_match_oracles_on_lander_models():
+    models = [MODEL, *enumerate_models(load_spec(str(LANDER / "Lander.cncspec")), limit=50)]
+    assert len(models) == 51
+    for m in models:
+        names = [c.name for c in m.components]
+        assert {(a, b) for a in names for b in names if contains_transitive(m, a, b)} == _containment_closure(m)
+        assert end_to_end_graph(m) == oracle_end_to_end_edges(m)
+
 
 def test_end_to_end_graph_matches_oracle():
     assert end_to_end_graph(MODEL) == oracle_end_to_end_edges(MODEL)

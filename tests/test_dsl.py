@@ -101,6 +101,16 @@ def test_parse_view_infers_endpoint_types_from_declared_ports():
     assert v.types == {"float"}
 
 
+def test_parse_view_sorts_connectors_with_and_without_ports():
+    v = parse_view("""
+        component A { port out float o; component B { port in float i; } }
+        connect A.o -> B.i;
+        connect A -> B;
+    """)
+    assert v.abs_connectors == (AbstractConnector("A", "B"),
+                                AbstractConnector("A", "B", "o", "i", "float", "float"))
+
+
 def test_parse_view_interface_complete_stereotype():
     parsed = parse_view_file("""
         <<interface-complete>> component Lib { port in int a; }

@@ -41,7 +41,7 @@ from cncsynth.model import (
 )
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
 from cncsynth.speclang import LibraryDecl, ScopeHints, Var, ViewSpec, resolve
-from cncsynth.synth import enumerate_models
+from cncsynth.synth import SynthOutcome, enumerate_models, synthesize
 
 
 def spec_of(view_text: str, **kw):
@@ -72,6 +72,31 @@ def test_compute_scope_hints_override():
     assert scope.ports == 7
     assert scope.port_names == ("x", "_p1")
     assert scope.types == ("int", "_T1", "_T2")
+
+
+def test_compute_scope_fresh_names_skip_taken_names():
+    two_tops = """
+        component A { port in int _p1; port out int y; }
+        component B { port in int x; }
+    """
+    assert compute_scope(spec_of(two_tops)).port_names == ("_p1", "x", "y", "_p2", "_p3")
+    scope = compute_scope(spec_of("component A { port in _T1 t; }", scope_hints=ScopeHints(extra_types=1)))
+    assert scope.types == ("_T1", "_T2")
+    # The same ports under one top: a repeated '_p1' made this UNSAT.
+    nested = spec_of("component A { port in int _p1; port out int y; component B { port in int x; } }")
+    assert synthesize(nested).outcome is SynthOutcome.SAT
+
+
+def test_scope_holds_connector_port_names():
+    spec = spec_of("component T { component A { port out int o; } component B; } connect A.zz -> B;")
+    scope = compute_scope(spec)
+    assert "zz" in scope.port_names and scope.ports == 2 + 2
+    result = synthesize(spec)
+    assert result.outcome is SynthOutcome.SAT
+    assert result.model.component("A").port("zz") is not None
+    without = dataclasses.replace(scope, port_names=tuple(n for n in scope.port_names if n != "zz"))
+    with pytest.raises(EncodingError, match="port name 'zz'"):
+        encode(spec, without)
 
 
 def test_compute_scope_includes_library_interface():

@@ -86,6 +86,20 @@ def test_verify_closures_detects_tampering():
     with pytest.raises(SoundnessError):
         verify_closures(enc, assignment, result.model)
 
+    spec = tiny_spec({"V": "component T { component A { port out int o; } component B { port in int i; } }"
+                           " connect A.o -> B.i;"}, Var("V"))
+    result = synthesize(spec)
+    assert result.outcome is SynthOutcome.SAT
+    enc, assignment = result.encoding, dict(result.assignment)
+    reach = [v for p in range(enc.scope.ports) for q in range(enc.scope.ports)
+             if (v := enc.varmap.get("reach", p, q)) is not None]
+    assert any(assignment.get(v, False) for v in reach) and not all(assignment.get(v, False) for v in reach)
+    verify_closures(enc, assignment, result.model)
+    for v in reach:
+        flipped = {**assignment, v: not assignment.get(v, False)}
+        with pytest.raises(SoundnessError, match="reach"):
+            verify_closures(enc, flipped, result.model)
+
 
 def test_synthesized_models_are_deterministic():
     spec = load_spec(str(LANDER / "Lander.cncspec"))
