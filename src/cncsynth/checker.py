@@ -10,13 +10,14 @@ from cncsynth.model import (
     AbstractConnector,
     CncModel,
     CncView,
+    Component,
+    Port,
     PortRef,
     port_chain_graph,
     transitive_closure,
     validate_model,
 )
 from cncsynth.speclang import (
-    LibraryDecl,
     ResolvedSpec,
     StyleConfig,
     StyleKind,
@@ -62,6 +63,13 @@ def _endpoint_ports(m: CncModel, cmp: str, port_name: str | None, port_type: str
     return out
 
 
+def _has_port(c: Component, p: Port) -> bool:
+    """``c`` has a port with ``p``'s name and direction, and with its type
+    unless ``p`` is untyped."""
+    mp = c.port(p.name)
+    return mp is not None and mp.direction == p.direction and p.type in (None, mp.type)
+
+
 def _require_well_formed(m: CncModel, allow_multiple_tops: bool) -> None:
     bad = validate_model(m, allow_multiple_tops=allow_multiple_tops)
     if bad:
@@ -98,8 +106,7 @@ def _judge_view(m: CncModel, v: CncView) -> SatisfactionResult:
         if mc is None:
             continue
         for p in c.ports:
-            mp = mc.port(p.name)
-            if mp is None or mp.direction != p.direction or (p.type is not None and mp.type != p.type):
+            if not _has_port(mc, p):
                 want = p.type if p.type is not None else "?"
                 violations.append(ViewViolation(
                     "PORT_MISMATCH", f"{c.name}.{p.name}",
@@ -156,38 +163,20 @@ class EvaluationResult:
     constraint_violations: tuple[StyleViolation, ...]
 
 
-def _library_violations(m: CncModel, library: tuple[LibraryDecl, ...]) -> list[StyleViolation]:
-    out = []
-    for decl in library:
-        c = m.by_name.get(decl.component)
-        if c is None:
-            continue
-        if c.subcomponents:
-            out.append(StyleViolation(decl.component, "library component has subcomponents"))
-        have = {(p.name, p.direction, p.type) for p in c.ports}
-        want = set(decl.interface)
-        if have != want:
-            out.append(StyleViolation(decl.component,
-                                      f"interface differs from the library declaration ({sorted(have)} vs {sorted(want)})"))
-    return out
-
-
-def _interface_complete_violations(m: CncModel, spec: ResolvedSpec) -> list[StyleViolation]:
-    out = []
-    for vname, cname in sorted(spec.interface_complete):
-        view = spec.views[vname]
-        declared = view.by_name[cname].ports
-        mc = m.by_name.get(cname)
-        if mc is None:
-            continue
-        if {p.name for p in mc.ports} != {p.name for p in declared}:
-            out.append(StyleViolation(cname,
-                                      f"ports are not exactly those declared interface-complete in view {vname}"))
-            continue
-        for p in declared:
-            mp = mc.port(p.name)
-            if mp.direction != p.direction or (p.type is not None and mp.type != p.type):
-                out.append(StyleViolation(f"{cname}.{p.name}", "port attributes differ from the interface-complete declaration"))
+def _closed_interface_violations(m: CncModel, spec: ResolvedSpec) -> list[StyleViolation]:
+    """A library component has no subcomponents, and a library or
+    interface-complete component has exactly its declared ports."""
+    closed = [(d.component, d.ports, "library declaration") for d in spec.library]
+    closed += [(c, spec.views[v].by_name[c].ports, f"interface-complete marking in view {v}")
+               for v, c in sorted(spec.interface_complete)]
+    out = [StyleViolation(d.component, "library component has subcomponents")
+           for d in spec.library if d.component in m.by_name and m.by_name[d.component].subcomponents]
+    for name, ports, source in closed:
+        c = m.by_name.get(name)
+        # Port names are unique on both sides, so equal counts and every
+        # declared port present mean the same ports.
+        if c is not None and (len(c.ports) != len(ports) or not all(_has_port(c, p) for p in ports)):
+            out.append(StyleViolation(name, f"interface differs from the {source}"))
     return out
 
 
@@ -261,8 +250,7 @@ def evaluate_spec(m: CncModel, spec: ResolvedSpec) -> EvaluationResult:
     per_view = {name: _judge_view(m, view).satisfied for name, view in sorted(spec.views.items())}
     formula_value = evaluate_formula(spec.expanded_formula, per_view)
     constraint_violations = (
-        _library_violations(m, spec.library)
-        + _interface_complete_violations(m, spec)
+        _closed_interface_violations(m, spec)
         + _style_violations(m, spec.style)
     )
     return EvaluationResult(

@@ -120,6 +120,11 @@ def _styled_spec(args: argparse.Namespace, spec: ResolvedSpec) -> ResolvedSpec:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.enumerate is not None:
+        if args.enumerate < 1:
+            raise CliError(f"--enumerate needs N >= 1, got {args.enumerate}")
+        if args.out or args.dot:
+            raise CliError("--enumerate cannot be combined with --out or --dot")
     spec = _styled_spec(args, _scoped_spec(args, load_spec(args.spec)))
     config = _solver_config(args)
     if args.enumerate is not None:

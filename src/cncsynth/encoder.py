@@ -59,6 +59,8 @@ class Scope:
     types: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.ports < 0:
+            raise ValueError(f"scope count ports must not be negative, got {self.ports}")
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "port_names", tuple(self.port_names))
         object.__setattr__(self, "types", tuple(self.types))
@@ -69,28 +71,9 @@ def compute_scope(spec: ResolvedSpec) -> Scope:
     slack, declared port names and types plus fresh ones.  A port that an
     abstract connector names counts as declared.  Spec scope hints override
     the counts."""
-    hints = spec.scope_hints
-    declared: set[tuple[str, str]] = set()
-    names: set[str] = set()
-    types: set[str] = set()
-    for v in spec.views.values():
-        types |= v.types
-        for c in v.components:
-            for p in c.ports:
-                declared.add((c.name, p.name))
-                names.add(p.name)
-        for ac in v.abs_connectors:
-            for c, n in ((ac.src_cmp, ac.src_port), (ac.tgt_cmp, ac.tgt_port)):
-                if n is not None:
-                    declared.add((c, n))
-                    names.add(n)
-    for d in spec.library:
-        for n, _, t in d.interface:
-            declared.add((d.component, n))
-            names.add(n)
-            types.add(t)
-
-    ports = hints.ports if hints.ports is not None else len(declared) + 2
+    hints, types = spec.scope_hints, spec.types
+    names = {n for _, n in spec.declared_ports}
+    ports = hints.ports if hints.ports is not None else len(spec.declared_ports) + 2
     extra_names = hints.extra_names if hints.extra_names is not None else 2
     extra_types = hints.extra_types if hints.extra_types is not None else (0 if types else 1)
     name_pool = sorted(names) + _fresh(FRESH_PORT_PREFIX, extra_names, names)
@@ -98,7 +81,7 @@ def compute_scope(spec: ResolvedSpec) -> Scope:
     return Scope(tuple(spec.component_names), ports, tuple(name_pool), tuple(type_pool))
 
 
-def _fresh(prefix: str, count: int, taken: set[str]) -> list[str]:
+def _fresh(prefix: str, count: int, taken: set[str] | frozenset[str]) -> list[str]:
     """``count`` names ``prefix1``, ``prefix2``, ... that are not in ``taken``."""
     numbered = (f"{prefix}{i}" for i in itertools.count(1))
     return list(itertools.islice((n for n in numbered if n not in taken), count))
@@ -186,6 +169,8 @@ class _Encoder:
         self._group_start = 0
         self._group_label: str | None = None
         self._true_var: int | None = None
+        self._tseitin_n = 0
+        self._conncomp_defined: set[tuple[int, str]] = set()
         self.comps = list(scope.components)
         self.slots = list(range(scope.ports))
         self.names = list(scope.port_names)
@@ -209,30 +194,12 @@ class _Encoder:
         self.view = _Table(partial(var, "view"))
 
     def _validate_scope(self) -> None:
-        comps = set(self.comps)
-        names = set(self.names)
-        types = set(self.types)
-        errors = []
-        for c in self.spec.component_names:
-            if c not in comps:
-                errors.append(f"component {c!r} missing from the scope")
-        for v in self.spec.views.values():
-            for t in v.types:
-                if t not in types:
-                    errors.append(f"type {t!r} (view {v.name}) missing from the scope")
-            port_names = [p.name for c in v.components for p in c.ports]
-            port_names += [n for ac in v.abs_connectors for n in (ac.src_port, ac.tgt_port) if n is not None]
-            for n in port_names:
-                if n not in names:
-                    errors.append(f"port name {n!r} (view {v.name}) missing from the scope")
-        for d in self.spec.library:
-            for n, _, t in d.interface:
-                if n not in names:
-                    errors.append(f"port name {n!r} (library {d.component}) missing from the scope")
-                if t not in types:
-                    errors.append(f"type {t!r} (library {d.component}) missing from the scope")
-        if errors:
-            raise EncodingError("; ".join(sorted(set(errors))))
+        spec = self.spec
+        missing = [f"component {c!r}" for c in spec.component_names if c not in self.scope.components]
+        missing += [f"port name {n!r}" for n in sorted({n for _, n in spec.declared_ports}.difference(self.names))]
+        missing += [f"type {t!r}" for t in sorted(spec.types.difference(self.types))]
+        if missing:
+            raise EncodingError("; ".join(f"{m} missing from the scope" for m in missing))
 
     # -- clause plumbing -------------------------------------------------------
 
@@ -569,7 +536,7 @@ class _Encoder:
         if isinstance(f, Not):
             return -self._formula_lit(f.arg)
         lits = [self._formula_lit(a) for a in f.args]
-        self._tseitin_n = getattr(self, "_tseitin_n", 0) + 1
+        self._tseitin_n += 1
         key = ("faux", self._tseitin_n)
         if isinstance(f, And):
             return self.and_var(key, lits) if lits else self.true_lit()
@@ -581,44 +548,41 @@ class _Encoder:
 
     # -- global constraints ----------------------------------------------------
 
+    def _closed_interface(self, c: str, ports: tuple[Port, ...]) -> None:
+        """Component c, if present, has exactly ``ports``: each is realized,
+        and a slot c owns carries one of their names, with that port's
+        direction and (unless it is untyped) type."""
+        for port in ports:
+            n = port.name
+            self.add(-self.ex[c], self._port_ok(c, port))
+            pin_lit = 1 if port.direction is Direction.IN else -1
+            for p in self.slots:
+                self.add(-self.owner[p][c], -self.pname[p][n], pin_lit * self.pin[p])
+                if port.type is not None:
+                    self.add(-self.owner[p][c], -self.pname[p][n], self.ptype[p][port.type])
+        names = sorted({port.name for port in ports})
+        for p in self.slots:
+            self.add(-self.owner[p][c], *(self.pname[p][n] for n in names))
+
     def _library(self) -> None:
+        """A library component is a leaf with exactly its declared interface."""
         self.begin("library")
         for decl in self.spec.library:
             c = decl.component
             for d in self.comps:
                 if d != c:
                     self.add(-self.ex[c], -self.par[c][d])
-            allowed = {n for n, _, _ in decl.interface}
-            for n, direction, t in decl.interface:
-                self.add(-self.ex[c], self._port_ok(c, Port(n, direction, t)))
-                pin_lit = 1 if direction is Direction.IN else -1
-                for p in self.slots:
-                    self.add(-self.owner[p][c], -self.pname[p][n], pin_lit * self.pin[p])
-                    self.add(-self.owner[p][c], -self.pname[p][n], self.ptype[p][t])
-            for p in self.slots:
-                self.add(-self.owner[p][c], *(self.pname[p][n] for n in sorted(allowed) if n in self.names))
+            self._closed_interface(c, decl.ports)
 
     def _interface_complete(self) -> None:
         self.begin("interface-complete")
         for vname, cname in sorted(self.spec.interface_complete):
-            declared = self.spec.views[vname].by_name[cname].ports
-            allowed = {port.name for port in declared}
-            for port in declared:
-                self.add(-self.ex[cname], self._port_ok(cname, port))
-                pin_lit = 1 if port.direction is Direction.IN else -1
-                for p in self.slots:
-                    self.add(-self.owner[p][cname], -self.pname[p][port.name], pin_lit * self.pin[p])
-                    if port.type is not None:
-                        self.add(-self.owner[p][cname], -self.pname[p][port.name], self.ptype[p][port.type])
-            for p in self.slots:
-                self.add(-self.owner[p][cname], *(self.pname[p][n] for n in sorted(allowed)))
+            self._closed_interface(cname, self.spec.views[vname].by_name[cname].ports)
 
     # -- styles ----------------------------------------------------------------
 
     def _conn_to_comp(self, p: int, b: str) -> int:
         """Lower-bound aux: slot p has an outgoing connector into component b."""
-        if not hasattr(self, "_conncomp_defined"):
-            self._conncomp_defined: set[tuple[int, str]] = set()
         v = self.vm.var("conncomp", p, b)
         if (p, b) not in self._conncomp_defined:
             self._conncomp_defined.add((p, b))

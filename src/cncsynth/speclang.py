@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from cncsynth.model import CncView, Component, Direction
+from cncsynth.model import CncView, Component, Direction, Port
 
 
 # --- Boolean formulas over view names ---------------------------------------
@@ -117,6 +118,10 @@ class LibraryDecl:
     def __post_init__(self) -> None:
         object.__setattr__(self, "interface", tuple(self.interface))
 
+    @property
+    def ports(self) -> tuple[Port, ...]:
+        return tuple(Port(n, d, t) for n, d, t in self.interface)
+
 
 class StyleKind(Enum):
     NONE = "none"
@@ -163,6 +168,12 @@ class ScopeHints:
     ports: int | None = None
     extra_names: int | None = None
     extra_types: int | None = None
+
+    def __post_init__(self) -> None:
+        for key, n in (("ports", self.ports), ("extra-names", self.extra_names),
+                       ("extra-types", self.extra_types)):
+            if n is not None and n < 0:
+                raise ValueError(f"scope count {key} must not be negative, got {n}")
 
 
 @dataclass(frozen=True)
@@ -258,6 +269,24 @@ class ResolvedSpec:
         names.update(l.component for l in self.library)
         names.update(self.style.tops)
         return sorted(names)
+
+    @cached_property
+    def declared_ports(self) -> frozenset[tuple[str, str]]:
+        """The (component, port name) pairs the spec declares: the views'
+        ports, the ports abstract connectors name, and library interfaces."""
+        views = self.views.values()
+        pairs = {(c.name, p.name) for v in views for c in v.components for p in c.ports}
+        pairs.update((c, n) for v in views for ac in v.abs_connectors
+                     for c, n in ((ac.src_cmp, ac.src_port), (ac.tgt_cmp, ac.tgt_port)) if n is not None)
+        pairs.update((d.component, p.name) for d in self.library for p in d.ports)
+        return frozenset(pairs)
+
+    @cached_property
+    def types(self) -> frozenset[str]:
+        """The types the views and library interfaces declare."""
+        types = {t for v in self.views.values() for t in v.types}
+        types.update(p.type for d in self.library for p in d.ports)
+        return frozenset(types)
 
 
 def resolve(spec: ViewSpec) -> ResolvedSpec:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator
 
 from cncsynth.checker import EvaluationResult, evaluate_spec
@@ -101,7 +101,8 @@ def synthesize(spec: ResolvedSpec, scope: Scope | None = None,
 def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
                      scope: Scope | None = None,
                      config: SolverConfig = SolverConfig()) -> Iterator[CncModel]:
-    """Yield pairwise-distinct models satisfying ``spec`` within the scope.
+    """Yield up to ``limit`` (all if None) pairwise-distinct models
+    satisfying ``spec`` within the scope; a negative limit raises ValueError.
 
     Slot symmetry breaking makes structural assignments canonical per model,
     so blocking on the structural variables walks distinct models; iteration
@@ -110,8 +111,7 @@ def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
     interrupted search.
     """
     enc: Encoding = encode(spec, scope)
-    produced = 0
-    for result in iter_assignments(enc.cnf, config, list(enc.structural_vars)):
+    for result in islice(iter_assignments(enc.cnf, config, list(enc.structural_vars)), limit):
         if result.status == RESOURCE_LIMIT:
             raise TimeoutError("solver resource limit reached during enumeration")
         if result.status != SAT:
@@ -120,6 +120,3 @@ def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
         verify_closures(enc, result.assignment, model)
         _verified(model, spec)
         yield model
-        produced += 1
-        if limit is not None and produced >= limit:
-            return

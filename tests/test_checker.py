@@ -200,6 +200,15 @@ def test_evaluate_spec_library_violation():
     assert any("interface differs" in v.explanation for v in res.constraint_violations)
 
 
+def test_evaluate_spec_library_component_with_subcomponents():
+    spec = resolve(ViewSpec(
+        "s", (view_of("component Joint;", "V"),), Var("V"),
+        library=(LibraryDecl("Body", (("bin", Direction.IN, "int"),
+                                      ("bout", Direction.OUT, "float"))),)))
+    res = evaluate_spec(MODEL, spec)
+    assert [str(v) for v in res.constraint_violations] == ["Body: library component has subcomponents"]
+
+
 def test_evaluate_spec_interface_complete_violation():
     from cncsynth.dsl import parse_view_file
     parsed = parse_view_file("""

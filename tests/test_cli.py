@@ -75,6 +75,27 @@ def test_synth_enumerate():
     assert len({m for m in models}) == 3
 
 
+@pytest.mark.parametrize("extra", [("--enumerate", "0"), ("--enumerate", "-3"),
+                                   ("--enumerate", "2", "--out", "m.cnc"),
+                                   ("--enumerate", "2", "--dot", "m.dot")])
+def test_synth_enumerate_usage_errors(extra, tmp_path):
+    p = run("synth", SPEC, *(str(tmp_path / a) if a.startswith("m.") else a for a in extra))
+    assert p.returncode == 2
+    assert p.stdout == "" and "--enumerate" in p.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("synth", SPEC, "--ports", "-1"),
+                                  ("emit-dimacs", SPEC, "--ports", "-2"),
+                                  ("synth", SPEC, "--extra-names", "-1"),
+                                  ("synth", SPEC, "--extra-types", "-2")])
+def test_negative_scope_counts_are_usage_errors(argv):
+    p = run(*argv)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert f"{argv[2][2:]} must not be negative, got {argv[3]}" in p.stderr
+
+
 def test_synth_writes_out_and_dot(tmp_path):
     out = tmp_path / "m.cnc"
     dot = tmp_path / "m.dot"

@@ -21,7 +21,7 @@ import pytest
 from conftest import FIXTURES
 from oracles import oracle_satisfies
 
-from cncsynth.dsl import parse_view
+from cncsynth.dsl import parse_view_file
 from cncsynth.encoder import (
     EncodingError,
     Scope,
@@ -45,7 +45,10 @@ from cncsynth.synth import SynthOutcome, enumerate_models, synthesize
 
 
 def spec_of(view_text: str, **kw):
-    return resolve(ViewSpec("s", (parse_view(view_text, name="V"),), Var("V"), **kw))
+    """A one-view spec; ``<<interface-complete>>`` components are marked."""
+    parsed = parse_view_file(view_text, name="V")
+    marked = frozenset(("V", c) for c in parsed.interface_complete)
+    return resolve(ViewSpec("s", (parsed.view,), Var("V"), interface_complete=marked, **kw))
 
 
 def test_compute_scope_defaults():
@@ -121,6 +124,11 @@ def test_encode_rejects_insufficient_scope(scope):
         encode(spec, scope)
 
 
+def test_scope_rejects_negative_ports():
+    with pytest.raises(ValueError, match="ports must not be negative, got -1"):
+        Scope(("A",), -1, ("x",), ("int",))
+
+
 def test_encoding_shape():
     spec = spec_of("component A { component B; }")
     enc = encode(spec, Scope(("A", "B"), 2, ("p",), ("t",)))
@@ -169,15 +177,25 @@ def all_scope_models():
     return models
 
 
+LIB_B = (LibraryDecl("B", (("q", Direction.OUT, "t"),)),)
+
+TINY_SPECS = [
+    spec_of("component A { component B; }"),
+    spec_of("<<interface-complete>> component A { port in t p; component B; }"),
+    spec_of("<<interface-complete>> component A { port out ? q; component B; }"),
+    spec_of("component A { component B; }", library=LIB_B),
+]
+
+
 def test_enumeration_is_sound_and_complete_on_tiny_scope():
-    spec = spec_of("component A { component B; }")
-    expected = {m for m in all_scope_models()
-                if evaluate_spec(m, spec).overall}
-    got = list(enumerate_models(spec, scope=SCOPE))
-    assert len(got) == len(set(got)), "enumerated models must be pairwise distinct"
-    assert set(got) == expected
-    for m in got:
-        assert oracle_satisfies(m, spec.views["V"])
+    scope_models = all_scope_models()
+    for spec in TINY_SPECS:
+        expected = {m for m in scope_models if evaluate_spec(m, spec).overall}
+        got = list(enumerate_models(spec, scope=SCOPE))
+        assert len(got) == len(set(got)), "enumerated models must be pairwise distinct"
+        assert set(got) == expected
+        for m in got:
+            assert oracle_satisfies(m, spec.views["V"])
 
 
 def test_enumeration_completeness_with_abstract_connector():
@@ -205,6 +223,15 @@ DIGEST_3SAT = {
     "3sat-n6": Cnf3Formula(6, ((1, -2, 3), (-4, 5), (-6,), (2, 4, 6), (-1, -3, -5), (3, -4, 6))),
 }
 
+# Closed interfaces: an interface-complete marking, a library component, and a
+# connector that names a port only the library declares.
+DIGEST_SPECS = {
+    "closed": spec_of("""
+        <<interface-complete>> component A { port in t p; port out t r; component B; }
+        connect B.q -> A.r;
+    """, library=LIB_B),
+}
+
 # sha256 of repr((num_vars, clauses, groups, comments)) for each input.
 CNF_DIGESTS = {
     "Lander": "74e59ac5f59cba5d851d6755038cb4b07d318400bc2dc3ac6f2133f56fb90b86",
@@ -220,6 +247,7 @@ CNF_DIGESTS = {
     "3sat-n1": "3a43dc93e81ba8af68bb3a99482df96d2a6e3e00ac8155bb65806bf055ff7835",
     "3sat-n6-pinned": "e8b90e7e29bc806977404985ef5768d17e37e47f06c44b875c10a836d8e930ba",
     "3sat-n6": "ba2fa8432ee6f008353654956cb802775f7660ec0eb11cf258481e8ac1e978ef",
+    "closed": "31d40c1899e64d521a018f89c095b69d280f961703044dbda174e2eb2b46ede8",
 }
 
 
@@ -231,13 +259,14 @@ def cnf_digest(cnf) -> str:
 def cnf_digests() -> dict[str, str]:
     """Digest of every fixture spec at its own scope, of S1lib at ports=10
     (the rj-unsat instance) and S1 at ports=19 (criterion 1, through the
-    override: S1.cncspec sets the same scope), and of three 3SAT
-    reductions."""
+    override: S1.cncspec sets the same scope), of ``DIGEST_SPECS``, and of
+    three 3SAT reductions."""
     specs = {path.stem: load_spec(str(path)) for path in sorted(FIXTURES.rglob("*.cncspec"))}
     for name, ports in (("S1lib", 10), ("S1", 19)):
         spec = specs[name]
         specs[f"{name}@ports={ports}"] = dataclasses.replace(
             spec, scope_hints=dataclasses.replace(spec.scope_hints, ports=ports))
+    specs.update(DIGEST_SPECS)
     out = {name: cnf_digest(encode(spec).cnf) for name, spec in specs.items()}
     for name, f in DIGEST_3SAT.items():
         out[name] = cnf_digest(encode(resolve(reduce_3sat(f)), reduction_scope(f)).cnf)

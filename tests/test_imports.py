@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and no private
+function or method of the package goes unreferenced."""
 
 from __future__ import annotations
 
@@ -34,3 +35,33 @@ def test_no_unused_imports(path):
 def test_unused_imports_finds_an_unused_name():
     src = "from __future__ import annotations\nimport os, sys\nfrom a.b import c as d, e\nprint(sys.argv, e)\n"
     assert unused_imports(src) == ["line 2: os", "line 3: d"]
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """``_``-prefixed module-level functions and methods (dunders aside) whose
+    name no ``Name`` or attribute anywhere in ``sources`` mentions."""
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        defined += [(f"{module}:{n.lineno}", n.name) for body in bodies for n in body
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and n.name.startswith("_") and not n.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{where} {name}" for where, name in defined if name not in used]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_unreferenced_private_functions_finds_a_dead_helper():
+    a = "def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass K:\n    def _gone(self):\n        pass\n    def __init__(self):\n        pass\n"
+    b = "from a import _used\n_used()\n"
+    assert unreferenced_private_functions({"a.py": a, "b.py": b}) == ["a.py:4 _dead", "a.py:8 _gone"]

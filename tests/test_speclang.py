@@ -12,6 +12,7 @@ from cncsynth.speclang import (
     Or,
     Pattern,
     PatternKind,
+    ScopeHints,
     SpecResolutionError,
     StyleConfig,
     StyleKind,
@@ -133,6 +134,14 @@ def test_resolve_rejects_duplicate_library_port_names():
                                               ("p", Direction.OUT, "t"))),))
     with pytest.raises(SpecResolutionError):
         resolve(s)
+
+
+def test_scope_hints_reject_negative_counts():
+    for kw, key in (({"ports": -1}, "ports"), ({"extra_names": -1}, "extra-names"),
+                    ({"extra_types": -2}, "extra-types")):
+        with pytest.raises(ValueError, match=f"{key} must not be negative"):
+            ScopeHints(**kw)
+    assert ScopeHints(0, 0, 0).ports == 0
 
 
 def test_style_config_validation():

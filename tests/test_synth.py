@@ -73,6 +73,15 @@ def test_enumeration_raises_timeout_on_resource_limit():
         list(enumerate_models(spec, config=SolverConfig(limits=SolverLimits(conflicts=0))))
 
 
+def test_enumeration_limit_counts_models():
+    spec = tiny_spec({"V": "component A { component B; }"}, Var("V"),
+                     scope_hints=ScopeHints(ports=0, extra_names=0))
+    assert len(list(enumerate_models(spec, limit=1))) == 1
+    assert list(enumerate_models(spec, limit=0)) == []
+    with pytest.raises(ValueError):
+        list(enumerate_models(spec, limit=-1))
+
+
 def test_verify_closures_detects_tampering():
     spec = tiny_spec({"V": "component A { component B; }"}, Var("V"),
                      scope_hints=ScopeHints(ports=0, extra_names=0))
