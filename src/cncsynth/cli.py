@@ -8,6 +8,7 @@ Exit codes: 0 success (model found / check passed), 1 negative result
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,15 +22,20 @@ from cncsynth.dsl import (
     parse_spec,
     parse_view_file,
     print_model,
+    print_view,
 )
-import dataclasses
-
 from cncsynth.encoder import EncodingError, encode
-from cncsynth.speclang import ScopeHints
 from cncsynth.model import CncModel
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope, solve_3sat
-from cncsynth.sat import SolverConfig, SolverError, SolverLimits, emit_dimacs
-from cncsynth.speclang import ResolvedSpec, SpecResolutionError, ViewSpec, resolve
+from cncsynth.sat import CnfInstance, SolverConfig, SolverError, SolverLimits, emit_dimacs
+from cncsynth.speclang import (
+    ResolvedSpec,
+    ScopeHints,
+    SpecResolutionError,
+    ViewSpec,
+    format_formula,
+    resolve,
+)
 from cncsynth.synth import SoundnessError, SynthOutcome, enumerate_models, synthesize
 
 EXIT_OK = 0
@@ -98,6 +104,14 @@ def _scope_json(scope) -> dict:
             "portNames": list(scope.port_names), "types": list(scope.types)}
 
 
+def _clause_counts(cnf: CnfInstance) -> dict[str, int]:
+    """Clauses per constraint group of an encoding."""
+    counts: dict[str, int] = {}
+    for label, start, end in cnf.groups:
+        counts[label] = counts.get(label, 0) + end - start
+    return counts
+
+
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -135,6 +149,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "scope": _scope_json(result.scope),
         "stats": {"conflicts": result.stats.conflicts, "decisions": result.stats.decisions,
                   "propagations": result.stats.propagations},
+        "clauses": _clause_counts(result.encoding.cnf),
     }
     if result.outcome is SynthOutcome.RESOURCE_LIMIT:
         _emit(args, payload, "resource limit reached before a verdict")
@@ -200,9 +215,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_reduce3sat(args: argparse.Namespace) -> int:
     f = Cnf3Formula.from_dimacs(_read(args.cnf))
     if args.out_dir:
-        from cncsynth.dsl import print_view
-        from cncsynth.speclang import format_formula
-
         spec = reduce_3sat(f)
         outd = Path(args.out_dir)
         outd.mkdir(parents=True, exist_ok=True)

@@ -7,10 +7,17 @@ clauses, and restarts on a Luby schedule.  Structural variables are
 allocated first by the encoder, so initial decisions start in the
 structural core.  As in MiniSat (Een & Sorensson, SAT 2003), the order heap
 holds one current entry per variable: backtracking pushes a variable only
-when it has none.  Every clause reaches the solver through one loader,
-``_Cdcl.add_clauses``.  ``solve`` and ``iter_assignments`` share one loop,
-``_answers``, for both engines; it checks every SAT answer against every
-clause (original, assumption and blocking) before returning it.
+when it has none.  The formula's clauses reach the solver through one
+loader, ``_Cdcl.add_clauses``.  ``solve`` and ``iter_assignments`` share one
+loop, ``_answers``, for both engines; it checks every SAT answer against
+every clause (original, assumption and blocking) before returning it.
+
+Enumeration is incremental with the internal engine.  As in all-solutions
+solvers (Toda & Soh, ACM JEA 2016; Gebser, Kaufmann & Schaub, CPAIOR
+2009), each blocking clause backjumps from the model that it blocks to its
+assertion level, the second-highest decision level among its literals, and
+the next search goes on from there instead of from the root.  So models
+after the first come in search order, which no caller may rely on.
 """
 
 from __future__ import annotations
@@ -48,8 +55,17 @@ class CnfInstance:
 
 @dataclass(frozen=True)
 class SolverLimits:
+    """Bounds on a search; None means unbounded.  ``conflicts`` counts
+    conflicts (0 stops at the first) and ``wall_seconds`` must be positive."""
+
     conflicts: int | None = None
     wall_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.conflicts is not None and self.conflicts < 0:
+            raise ValueError(f"solver limit conflicts must not be negative, got {self.conflicts}")
+        if self.wall_seconds is not None and not self.wall_seconds > 0:
+            raise ValueError(f"solver limit wall_seconds must be positive, got {self.wall_seconds}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,9 @@ class _Cdcl:
     Decisions are deterministic: they follow exponential variable activities
     with ties broken by ascending variable index, so a given formula always
     produces the same run.  A ``solve`` that follows a SAT answer resumes
-    warm, from the activities and saved phases that found it.
+    warm, from the activities and saved phases that found it, and at the
+    level that ``add_blocking_clause`` backjumped to: the trail below that
+    level is kept, so its decisions and propagations are not made again.
 
     The order heap holds ``(-activity, var)`` entries.  ``in_heap[v]`` is set
     while the heap holds an entry for ``v`` at its current activity: it is
@@ -119,9 +137,10 @@ class _Cdcl:
     such an entry: backtracking pushes only the variables whose flag is
     clear, and an entry at an older activity is dropped when popped.
 
-    Clauses enter through ``add_clauses`` only: original clauses before the
-    first solve, and blocking clauses (via ``add_blocking_clause``) between
-    solves.
+    The formula's clauses enter through ``add_clauses`` before the first
+    solve.  Learnt clauses, and blocking clauses between solves (through
+    ``add_blocking_clause``), are attached by ``_watch`` with their
+    asserting literal first.
     """
 
     def __init__(self, num_vars: int, limits: SolverLimits):
@@ -194,20 +213,44 @@ class _Cdcl:
                 watches[c[1] + nv].append((c[0], c))
 
     def add_blocking_clause(self, lits: tuple[int, ...]) -> None:
-        """Add a clause between solve calls.  Backtracks to level 0 and
-        simplifies against the root-level assignment so the watch invariant
-        holds."""
-        self.cancel_until(0)
+        """Add a clause that the last SAT answer falsifies (every literal is
+        false on the trail that found it) and backjump to the clause's
+        assertion level, so the next solve resumes there instead of at the
+        root.  Literals false at the root are dropped: with none left the
+        formula is UNSAT, and one left becomes a root unit.  Otherwise the
+        literals are ordered by decreasing decision level and the solver
+        backjumps to the level of the second; the first, now the clause's
+        only unassigned literal, is implied with the clause as its reason.
+        When the two highest literals share a level, the solver backjumps
+        one level below it and the clause watches both."""
+        level = self.level
+        out = sorted((l for l in lits if level[abs(l)] > 0),
+                     key=lambda l: level[abs(l)], reverse=True)
+        if not out:
+            self.ok = False
+        elif len(out) == 1:
+            self.cancel_until(0)
+            self.enqueue(out[0], None)
+        else:
+            top, second = level[abs(out[0])], level[abs(out[1])]
+            self.cancel_until(second if top > second else top - 1)
+            reason = self._watch(out)
+            if top > second:
+                self.enqueue(out[0], reason)
+
+    def _watch(self, c: list[int]) -> int | list[int]:
+        """Attach a clause of two or more literals, watching its first two,
+        and return the reason that implies ``c[0]`` through it: the other
+        literal of a binary clause, else the clause itself."""
         nv = self.nv
-        val = self.val
-        out = []
-        for l in lits:
-            v = val[l + nv]
-            if v == 1:
-                return  # already satisfied at the root level
-            if v == 0:
-                out.append(l)
-        self.add_clauses((out,))
+        a, b = c[0], c[1]
+        if len(c) == 2:
+            self.bin_imp[nv - a].append(b)
+            self.bin_imp[nv - b].append(a)
+            return b
+        self.watches[a + nv].append((b, c))
+        self.watches[b + nv].append((a, c))
+        return c
 
     def enqueue(self, lit: int, reason) -> bool:
         nv = self.nv
@@ -465,18 +508,21 @@ class _Cdcl:
         return result
 
     def _solve(self, start: float) -> SolveResult:
-        if not self.ok or self.propagate() is not None:
+        # A conflict found by propagation alone means UNSAT only at the root;
+        # above it (a warm resume) the search analyzes it as usual.
+        if not self.ok or (not self.trail_lim and self.propagate() is not None):
             return SolveResult(UNSAT, stats=self.stats)
         budget = self.SEGMENT_BUDGET
         seg = 0
         warm = self.warm_start
         while True:
             decay, polarity = self.PORTFOLIO[seg % len(self.PORTFOLIO)]
-            self.cancel_until(0)
             self.inv_decay = 1.0 / decay
-            # A continuation solve keeps activities and saved phases so the
-            # search resumes near the previous solution.
+            # A continuation solve resumes at the level add_blocking_clause
+            # left, with the activities and saved phases that found the
+            # previous solution.
             if not (warm and seg == 0):
+                self.cancel_until(0)
                 self.var_inc = 1.0
                 self.activity = [0.0] * (self.nv + 1)
                 self.phase = [polarity] * (self.nv + 1)
@@ -506,17 +552,10 @@ class _Cdcl:
                 if len(learnt) == 1:
                     if not self.enqueue(learnt[0], None):
                         return SolveResult(UNSAT, stats=self.stats)
-                elif len(learnt) == 2:
-                    a, b = learnt
-                    self.bin_imp[-a + self.nv].append(b)
-                    self.bin_imp[-b + self.nv].append(a)
-                    if not self.enqueue(a, b):
-                        return SolveResult(UNSAT, stats=self.stats)
                 else:
-                    self.learnts.append(learnt)
-                    self.watches[learnt[0] + self.nv].append((learnt[1], learnt))
-                    self.watches[learnt[1] + self.nv].append((learnt[0], learnt))
-                    if not self.enqueue(learnt[0], learnt):
+                    if len(learnt) > 2:
+                        self.learnts.append(learnt)
+                    if not self.enqueue(learnt[0], self._watch(learnt)):
                         return SolveResult(UNSAT, stats=self.stats)
                 conflicts_until_restart -= 1
                 lim = self.limits

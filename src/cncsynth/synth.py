@@ -87,10 +87,9 @@ def synthesize(spec: ResolvedSpec, scope: Scope | None = None,
     :func:`cncsynth.encoder.compute_scope`)."""
     enc = encode(spec, scope)
     result = solve(enc.cnf, config)
-    if result.status == RESOURCE_LIMIT:
-        return SynthResult(SynthOutcome.RESOURCE_LIMIT, None, None, enc.scope, result.stats)
     if result.status != SAT:
-        return SynthResult(SynthOutcome.UNSAT, None, None, enc.scope, result.stats)
+        outcome = SynthOutcome.RESOURCE_LIMIT if result.status == RESOURCE_LIMIT else SynthOutcome.UNSAT
+        return SynthResult(outcome, None, None, enc.scope, result.stats, encoding=enc)
     model = decode(enc, result.assignment)
     verify_closures(enc, result.assignment, model)
     evaluation = _verified(model, spec)

@@ -21,6 +21,14 @@ def truth_table_sat(num_vars: int, clauses) -> bool:
     return False
 
 
+def projected_models(num_vars: int, clauses, projection) -> set[tuple[bool, ...]]:
+    """The values on ``projection`` (in its order) of every assignment to
+    variables 1..n that satisfies ``clauses``, by truth table."""
+    return {tuple(bits[v - 1] for v in projection)
+            for bits in itertools.product((False, True), repeat=num_vars)
+            if all(any((lit > 0) == bits[abs(lit) - 1] for lit in clause) for clause in clauses)}
+
+
 def assignment_satisfies(clauses, assignment: dict[int, bool]) -> bool:
     return all(any((lit > 0) == assignment[abs(lit)] for lit in clause)
                for clause in clauses)

@@ -10,7 +10,9 @@ import pytest
 
 from conftest import LANDER, RJ
 
+from cncsynth.cli import load_spec
 from cncsynth.dsl import parse_model
+from cncsynth.encoder import encode
 from cncsynth.sat import parse_dimacs
 
 MODEL = str(RJ / "rotational_joint.cnc")
@@ -54,6 +56,7 @@ def test_synth_produces_parseable_model():
     assert p.returncode == 0
     payload = json.loads(p.stdout)
     assert payload["outcome"] == "sat"
+    assert sum(payload["clauses"].values()) == len(encode(load_spec(SPEC)).cnf.clauses)
     model = parse_model(payload["model"])
     assert model.top == "LanderSystem"
     assert all(payload["perView"].values())
@@ -94,6 +97,26 @@ def test_negative_scope_counts_are_usage_errors(argv):
     assert p.returncode == 2
     assert p.stdout == ""
     assert f"{argv[2][2:]} must not be negative, got {argv[3]}" in p.stderr
+
+
+@pytest.mark.parametrize("flag, value, limit", [("--conflicts", "-5", "conflicts"),
+                                               ("--timeout", "-1", "wall_seconds"),
+                                               ("--timeout", "0", "wall_seconds")])
+def test_solver_limits_out_of_range_are_usage_errors(flag, value, limit):
+    p = run("synth", SPEC, flag, value)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert f"solver limit {limit} must" in p.stderr
+
+
+def test_synth_json_counts_clauses_per_group_on_unsat():
+    spec = str(RJ / "S2.cncspec")  # refuted at the root level
+    p = run("synth", spec, "--json")
+    assert p.returncode == 1
+    payload = json.loads(p.stdout)
+    assert payload["outcome"] == "unsat"
+    assert sum(payload["clauses"].values()) == len(encode(load_spec(spec)).cnf.clauses)
+    assert payload["clauses"]["views"] > 0
 
 
 def test_synth_writes_out_and_dot(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cncsynth.dsl import (
     DslError,
@@ -14,7 +15,17 @@ from cncsynth.dsl import (
     print_model,
     print_view,
 )
-from cncsynth.model import AbstractConnector, Direction
+from cncsynth.model import (
+    AbstractConnector,
+    CncModel,
+    CncView,
+    Component,
+    Connector,
+    Direction,
+    Port,
+    PortRef,
+    validate_model,
+)
 from cncsynth.speclang import And, Not, Or, PatternKind, StyleKind, Var
 
 MODEL_TEXT = """
@@ -207,3 +218,82 @@ def test_export_dot_structure():
     assert dot.startswith('digraph "demo"')
     assert '"cluster_Top"' in dot and '"cluster_A"' in dot
     assert '"A.aout" -> "B.bin";' in dot
+
+
+# --- round trips of generated models and views --------------------------------
+
+IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+TYPE = st.sampled_from(("int", "float"))  # few types, so that connectors fit
+
+
+@st.composite
+def forest(draw, typed: bool) -> tuple[list[str], dict[str, str | None], dict[str, tuple[Port, ...]]]:
+    """Up to 4 distinct component names, each with a parent drawn from the
+    names before it (or none), and up to 2 ports with distinct names each."""
+    names = draw(st.lists(IDENT, min_size=1, max_size=4, unique=True))
+    parent = {n: draw(st.sampled_from([None, *names[:i]])) for i, n in enumerate(names)}
+    ptype = TYPE if typed else st.none() | TYPE
+    ports = {n: tuple(Port(pn, draw(st.sampled_from(Direction)), draw(ptype))
+                      for pn in draw(st.lists(IDENT, max_size=2, unique=True)))
+             for n in names}
+    return names, parent, ports
+
+
+def components(names, parent, ports) -> list[Component]:
+    return [Component(n, ports[n], frozenset(c for c in names if parent[c] == n)) for n in names]
+
+
+def legal(parent: dict[str, str | None], sc: str, sp: Port, tc: str, tp: Port) -> bool:
+    """The placement and direction rules of a model connector."""
+    if sc == tc or sp.type != tp.type:
+        return False
+    dirs = (sp.direction, tp.direction)
+    if parent[sc] == parent[tc]:
+        return dirs == (Direction.OUT, Direction.IN)
+    if parent[tc] == sc:
+        return dirs == (Direction.IN, Direction.IN)
+    return parent[sc] == tc and dirs == (Direction.OUT, Direction.OUT)
+
+
+@st.composite
+def models(draw) -> CncModel:
+    names, parent, ports = draw(forest(typed=True))
+    candidates = [Connector(PortRef(sc, sp.name), PortRef(tc, tp.name))
+                  for sc in names for sp in ports[sc] for tc in names for tp in ports[tc]
+                  if legal(parent, sc, sp, tc, tp)]
+    chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)) if candidates else []
+    one_incoming = {c.tgt: c for c in reversed(chosen)}.values()
+    model = CncModel.build(components(names, parent, ports), list(one_incoming))
+    assert validate_model(model, allow_multiple_tops=True) == []
+    return model
+
+
+@st.composite
+def views(draw) -> CncView:
+    names, parent, ports = draw(forest(typed=False))
+
+    def end(c: str) -> tuple[str | None, str | None]:
+        """A port name on ``c`` (declared, undeclared or none) and the type
+        the parser infers for it."""
+        name = draw(st.sampled_from([None, *(p.name for p in ports[c])]) | IDENT)
+        declared = {p.name: p.type for p in ports[c]}
+        return name, declared.get(name)
+
+    connectors = []
+    for _ in range(draw(st.integers(0, 3))):
+        sc, tc = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        (sp, sp_type), (tp, tp_type) = end(sc), end(tc)
+        connectors.append(AbstractConnector(sc, tc, sp, tp, sp_type, tp_type))
+    return CncView.build("V", components(names, parent, ports), connectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_generated_models_round_trip(m):
+    assert parse_model(print_model(m)) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(views())
+def test_generated_views_round_trip(v):
+    assert parse_view(print_view(v), name=v.name) == v

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-function or method of the package goes unreferenced."""
+"""No module of the package imports a name it never uses or imports from
+one module in two statements, and no private function or method of the
+package goes unreferenced."""
 
 from __future__ import annotations
 
@@ -35,6 +36,33 @@ def test_no_unused_imports(path):
 def test_unused_imports_finds_an_unused_name():
     src = "from __future__ import annotations\nimport os, sys\nfrom a.b import c as d, e\nprint(sys.argv, e)\n"
     assert unused_imports(src) == ["line 2: os", "line 3: d"]
+
+
+def repeated_from_imports(source: str) -> list[str]:
+    """``from X import`` statements, function-level ones included, that
+    repeat an ``X`` an earlier statement of the module imports from."""
+    first: dict[str, int] = {}
+    repeats = []
+    for node in sorted((n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)),
+                       key=lambda n: n.lineno):
+        module = "." * node.level + (node.module or "")
+        if module in first:
+            repeats.append(f"line {node.lineno}: {module} (first at line {first[module]})")
+        else:
+            first[module] = node.lineno
+    return repeats
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_from_import_per_module(path):
+    assert repeated_from_imports(path.read_text()) == []
+
+
+def test_repeated_from_imports_finds_a_second_statement():
+    src = ("from a import b\nfrom a.c import d\nimport a\nfrom a import e\n"
+           "def f():\n    from a.c import g\n    from . import h\n")
+    assert repeated_from_imports(src) == ["line 4: a (first at line 1)",
+                                          "line 6: a.c (first at line 2)"]
 
 
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:

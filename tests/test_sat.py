@@ -7,9 +7,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import LANDER, RJ
-from oracles import assignment_satisfies, truth_table_sat
+from oracles import assignment_satisfies, projected_models, truth_table_sat
 
 from cncsynth import sat
 from cncsynth.cli import load_spec
@@ -91,6 +92,15 @@ def test_conflict_limit_yields_resource_limit():
     assert solve(cnf, limited).status == RESOURCE_LIMIT
 
 
+def test_solver_limits_reject_out_of_range_values():
+    with pytest.raises(ValueError, match="conflicts must not be negative, got -1"):
+        SolverLimits(conflicts=-1)
+    for seconds in (0, -1.5, float("nan")):
+        with pytest.raises(ValueError, match="wall_seconds must be positive"):
+            SolverLimits(wall_seconds=seconds)
+    assert SolverLimits(conflicts=0, wall_seconds=0.5).conflicts == 0
+
+
 def test_dimacs_round_trip():
     cnf = CnfInstance(3, ((1, -2), (2, 3), (-1, -3)), comments=("hello", ""))
     text = emit_dimacs(cnf)
@@ -147,6 +157,35 @@ def test_iter_assignments_enumerates_projection_exactly():
         assert assignment_satisfies(cnf.clauses, r.assignment)
 
 
+@st.composite
+def cnf_and_projection(draw) -> tuple[CnfInstance, list[int]]:
+    """Up to 8 variables and 20 clauses of width 1-3, and a non-empty
+    projection."""
+    n = draw(st.integers(1, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.tuples(lit) | st.tuples(lit, lit) | st.tuples(lit, lit, lit),
+                            max_size=20))
+    projection = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    return CnfInstance(n, tuple(clauses)), projection
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnf_and_projection())
+@example((CnfInstance(4, ((2, 4), (-2, 4))), [1, 4]))  # a conflict right after a backjump
+def test_enumeration_matches_brute_force(case):
+    # Each blocking clause backjumps to its assertion level: it becomes a
+    # root unit, implies its highest literal, ties two literals at one level
+    # or exhausts the formula at the root; every projected model must still
+    # come exactly once, then UNSAT.
+    cnf, projection = case
+    results = list(iter_assignments(cnf, projection=projection))
+    assert [r.status for r in results] == [SAT] * (len(results) - 1) + [UNSAT]
+    proj = sorted(projection)
+    found = [tuple(r.assignment[v] for v in proj) for r in results[:-1]]
+    assert len(found) == len(set(found))
+    assert set(found) == projected_models(cnf.num_vars, cnf.clauses, proj)
+
+
 def test_iter_assignments_full_projection_default():
     cnf = CnfInstance(2, ((1, 2),))
     results = list(iter_assignments(cnf))
@@ -187,7 +226,8 @@ def test_search_counts_3sat_reduction():
 
 def test_search_counts_lander_enumeration():
     # Cumulative counts after 50 and 250 models (the enum workload's limit):
-    # they pin the warm restarts and blocking clauses between solutions.
+    # they pin the warm resumes and the backjump of each blocking clause to
+    # its assertion level.
     enc = encode(load_spec(str(LANDER / "Lander.cncspec")))
     counts = {}
     for n, r in enumerate(iter_assignments(enc.cnf, projection=list(enc.structural_vars)), 1):
@@ -196,7 +236,7 @@ def test_search_counts_lander_enumeration():
             counts[n] = (r.stats.conflicts, r.stats.decisions, r.stats.propagations)
             if n == 250:
                 break
-    assert counts == {50: (122, 1432, 21123), 250: (363, 6424, 90756)}
+    assert counts == {50: (79, 246, 5125), 250: (289, 937, 15021)}
 
 
 def test_solve_seconds_set_on_unsat_and_resource_limit():
