@@ -166,16 +166,14 @@ class EvaluationResult:
 def _closed_interface_violations(m: CncModel, spec: ResolvedSpec) -> list[StyleViolation]:
     """A library component has no subcomponents, and a library or
     interface-complete component has exactly its declared ports."""
-    closed = [(d.component, d.ports, "library declaration") for d in spec.library]
-    closed += [(c, spec.views[v].by_name[c].ports, f"interface-complete marking in view {v}")
-               for v, c in sorted(spec.interface_complete)]
     out = [StyleViolation(d.component, "library component has subcomponents")
            for d in spec.library if d.component in m.by_name and m.by_name[d.component].subcomponents]
-    for name, ports, source in closed:
+    for name, ports, view in spec.closed_interfaces:
         c = m.by_name.get(name)
         # Port names are unique on both sides, so equal counts and every
         # declared port present mean the same ports.
         if c is not None and (len(c.ports) != len(ports) or not all(_has_port(c, p) for p in ports)):
+            source = "library declaration" if view is None else f"interface-complete marking in view {view}"
             out.append(StyleViolation(name, f"interface differs from the {source}"))
     return out
 

@@ -112,6 +112,17 @@ def _clause_counts(cnf: CnfInstance) -> dict[str, int]:
     return counts
 
 
+def _port_clashes(spec: ResolvedSpec, payload: dict) -> list[str]:
+    """Put the spec's port clashes into ``payload`` as ``portClashes`` (a
+    null source is the library) and return one line for each."""
+    payload["portClashes"] = [
+        {"component": c.component, "port": c.name, "lacking": list(c.lacking),
+         "declarations": [{"source": src, "direction": p.direction.value, "type": p.type}
+                          for src, p in c.declarations]}
+        for c in spec.port_clashes]
+    return [str(c) for c in spec.port_clashes]
+
+
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -155,8 +166,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _emit(args, payload, "resource limit reached before a verdict")
         return EXIT_INTERNAL
     if result.outcome is SynthOutcome.UNSAT:
-        _emit(args, payload, "unsatisfiable within scope "
-              f"(ports={result.scope.ports}, components={len(result.scope.components)})")
+        lines = [f"unsatisfiable within scope (ports={result.scope.ports}, "
+                 f"components={len(result.scope.components)})", *_port_clashes(spec, payload)]
+        _emit(args, payload, "\n".join(lines))
         return EXIT_NEGATIVE
     text = print_model(result.model)
     payload["perView"] = dict(sorted(result.evaluation.per_view.items()))
@@ -181,7 +193,7 @@ def _synth_enumerate(args: argparse.Namespace, spec: ResolvedSpec, config: Solve
     payload = {"outcome": "sat" if models else "unsat", "count": len(models),
                "models": [print_model(m) for m in models]}
     human = "\n".join(f"// model {i + 1}\n{print_model(m)}" for i, m in enumerate(models)) \
-        or "no model within scope"
+        or "\n".join(["no model within scope", *_port_clashes(spec, payload)])
     _emit(args, payload, human)
     return EXIT_OK if models else EXIT_NEGATIVE
 

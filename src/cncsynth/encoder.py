@@ -267,6 +267,7 @@ class _Encoder:
         self._library()
         self._interface_complete()
         self._style()
+        self._port_identity()
         self.end()
 
         comments = [f"var {v} {self.vm.describe(v)}" for v in self.structural]
@@ -578,6 +579,31 @@ class _Encoder:
         self.begin("interface-complete")
         for vname, cname in sorted(self.spec.interface_complete):
             self._closed_interface(cname, self.spec.views[vname].by_name[cname].ports)
+
+    def _port_identity(self) -> None:
+        """Implied clauses for the ports whose declarations disagree
+        (``ResolvedSpec.port_clashes``), so that propagation refutes them.
+        Names are unique per component, so every declaration of ``c.n``
+        names one port, with one direction ``portin(c,n)`` and one type
+        ``porttype(c,n,t)``; a closed interface that lacks ``n`` leaves no
+        such port.  The new variables take their value from the port itself,
+        so every model extends to them and no model is lost."""
+        self.begin("port-identity")
+        for clash in self.spec.port_clashes:
+            c, n = clash.component, clash.name
+            oks = {port: self._port_ok(c, port) for _, port in clash.declarations}
+            if clash.lacking:
+                self.clauses.extend((-ok,) for ok in oks.values())
+                continue
+            if len(clash.directions) > 1:
+                pin = self.vm.var("portin", c, n)
+                self.clauses.extend((-ok, pin if port.direction is Direction.IN else -pin)
+                                    for port, ok in oks.items())
+            if len(clash.types) > 1:
+                ptype = {t: self.vm.var("porttype", c, n, t) for t in clash.types}
+                self.clauses.extend((-ok, ptype[port.type]) for port, ok in oks.items()
+                                    if port.type is not None)
+                self._amo(list(ptype.values()))
 
     # -- styles ----------------------------------------------------------------
 

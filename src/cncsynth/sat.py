@@ -10,7 +10,8 @@ holds one current entry per variable: backtracking pushes a variable only
 when it has none.  The formula's clauses reach the solver through one
 loader, ``_Cdcl.add_clauses``.  ``solve`` and ``iter_assignments`` share one
 loop, ``_answers``, for both engines; it checks every SAT answer against
-every clause (original, assumption and blocking) before returning it.
+every clause (original, assumption and blocking) before returning it, and
+its one deadline bounds the whole loop, every solve call included.
 
 Enumeration is incremental with the internal engine.  As in all-solutions
 solvers (Toda & Soh, ACM JEA 2016; Gebser, Kaufmann & Schaub, CPAIOR
@@ -55,8 +56,9 @@ class CnfInstance:
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Bounds on a search; None means unbounded.  ``conflicts`` counts
-    conflicts (0 stops at the first) and ``wall_seconds`` must be positive."""
+    """Bounds on a search, or on a whole enumeration; None means unbounded.
+    ``conflicts`` counts conflicts (0 stops at the first) and
+    ``wall_seconds`` must be positive."""
 
     conflicts: int | None = None
     wall_seconds: float | None = None
@@ -143,7 +145,7 @@ class _Cdcl:
     asserting literal first.
     """
 
-    def __init__(self, num_vars: int, limits: SolverLimits):
+    def __init__(self, num_vars: int, limits: SolverLimits, deadline: float | None = None):
         nv = num_vars
         self.nv = nv
         # val[lit + nv]: 1 if the literal is true, -1 false, 0 unassigned.
@@ -169,6 +171,8 @@ class _Cdcl:
         self.seen = [False] * (nv + 1)
         self.learnts: list[list[int]] = []
         self.limits = limits
+        # Monotonic clock time that bounds every solve (None: no deadline).
+        self.deadline = deadline
         self.stats = SolveStats()
         self.ok = True
         self.warm_start = False
@@ -501,6 +505,7 @@ class _Cdcl:
     SEGMENT_BUDGET = 6000
 
     def solve(self) -> SolveResult:
+        """Search on until an answer, the conflict limit or the deadline."""
         start = time.monotonic()
         result = self._solve(start)
         self.stats.solve_seconds = time.monotonic() - start
@@ -508,6 +513,8 @@ class _Cdcl:
         return result
 
     def _solve(self, start: float) -> SolveResult:
+        if self.deadline is not None and start >= self.deadline:
+            return SolveResult(RESOURCE_LIMIT, stats=self.stats)
         # A conflict found by propagation alone means UNSAT only at the root;
         # above it (a warm resume) the search analyzes it as usual.
         if not self.ok or (not self.trail_lim and self.propagate() is not None):
@@ -527,16 +534,17 @@ class _Cdcl:
                 self.activity = [0.0] * (self.nv + 1)
                 self.phase = [polarity] * (self.nv + 1)
             self._rebuild_heap()
-            result = self._search(start, self.stats.conflicts + budget)
+            result = self._search(self.stats.conflicts + budget)
             if result is not None:
                 return result
             seg += 1
             if seg % len(self.PORTFOLIO) == 0:
                 budget *= 2
 
-    def _search(self, start: float, segment_limit: int) -> SolveResult | None:
+    def _search(self, segment_limit: int) -> SolveResult | None:
         """Run CDCL until an answer, a global limit (both as SolveResult), or
         the segment's conflict budget (None)."""
+        deadline = self.deadline
         restart_base = self.restart_base
         luby_idx = 1
         conflicts_until_restart = restart_base * _luby(luby_idx)
@@ -561,8 +569,8 @@ class _Cdcl:
                 lim = self.limits
                 if lim.conflicts is not None and self.stats.conflicts >= lim.conflicts:
                     return SolveResult(RESOURCE_LIMIT, stats=self.stats)
-                if lim.wall_seconds is not None and self.stats.conflicts % 128 == 0 \
-                        and time.monotonic() - start > lim.wall_seconds:
+                if deadline is not None and self.stats.conflicts % 128 == 0 \
+                        and time.monotonic() > deadline:
                     return SolveResult(RESOURCE_LIMIT, stats=self.stats)
                 if self.stats.conflicts >= segment_limit:
                     return None
@@ -622,14 +630,17 @@ def _answers(cnf: CnfInstance, cfg: SolverConfig, extra: list[tuple[int, ...]],
     engine takes each blocking clause into the live solver; an external one
     solves the whole of ``cnf`` and ``extra`` afresh.  Every SAT answer is
     checked against all of those clauses; a variable it leaves out reads
-    False, here and in the blocking clause."""
+    False, here and in the blocking clause.  ``cfg.limits.wall_seconds``
+    bounds the whole loop: each call gets the time that is left."""
+    wall = cfg.limits.wall_seconds
+    deadline = None if wall is None else time.monotonic() + wall
     internal = cfg.engine == "internal"
     if internal:
-        solver = _Cdcl(cnf.num_vars, cfg.limits)
+        solver = _Cdcl(cnf.num_vars, cfg.limits, deadline)
         solver.add_clauses(cnf.clauses)
         solver.add_clauses(extra)
     while True:
-        result = solver.solve() if internal else _solve_external(cnf, cfg, extra)
+        result = solver.solve() if internal else _solve_external(cnf, cfg.engine, extra, deadline)
         if result.status == SAT and not _satisfies(result.assignment, cnf.clauses, extra):
             raise SolverError("solver returned an assignment that does not satisfy the formula")
         yield result
@@ -645,22 +656,25 @@ def _answers(cnf: CnfInstance, cfg: SolverConfig, extra: list[tuple[int, ...]],
 _EXIT_STATUS = {10: SAT, 20: UNSAT}
 
 
-def _solve_external(cnf: CnfInstance, cfg: SolverConfig,
-                    extra_clauses: list[tuple[int, ...]]) -> SolveResult:
-    """Run the executable ``cfg.engine`` on a DIMACS file of ``cnf`` plus
-    ``extra_clauses``.  A run that outlasts ``cfg.limits.wall_seconds`` is
-    killed and reported as RESOURCE_LIMIT.  There is no portable way to give
-    an arbitrary binary a conflict limit, so ``cfg.limits.conflicts`` does
-    not apply here.  The verdict is read from the 's' line; an exit code of
-    10 or 20 that disagrees with it raises SolverError."""
+def _solve_external(cnf: CnfInstance, engine: str, extra_clauses: list[tuple[int, ...]],
+                    deadline: float | None) -> SolveResult:
+    """Run the executable ``engine`` on a DIMACS file of ``cnf`` plus
+    ``extra_clauses``.  A run that reaches the monotonic clock time
+    ``deadline`` is killed, and one that would start at or after it is not
+    started; both are reported as RESOURCE_LIMIT.  There is no portable way
+    to give an arbitrary binary a conflict limit, so ``SolverLimits.conflicts``
+    does not apply here.  The verdict is read from the 's' line; an exit code
+    of 10 or 20 that disagrees with it raises SolverError."""
+    start = time.monotonic()
+    if deadline is not None and start >= deadline:
+        return SolveResult(RESOURCE_LIMIT)
     work = cnf.extended(extra_clauses) if extra_clauses else cnf
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
         fh.write(emit_dimacs(work))
         path = fh.name
-    start = time.monotonic()
     try:
-        proc = subprocess.run([cfg.engine, path], capture_output=True, text=True,
-                              timeout=cfg.limits.wall_seconds)
+        proc = subprocess.run([engine, path], capture_output=True, text=True,
+                              timeout=None if deadline is None else deadline - time.monotonic())
     except subprocess.TimeoutExpired:  # run() has killed and reaped the solver
         proc = None
     except OSError as exc:

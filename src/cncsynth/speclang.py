@@ -242,6 +242,45 @@ def expand_patterns(spec: ViewSpec) -> Formula:
 
 # --- Resolution --------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PortClash:
+    """Declarations of one port ``component.name`` that no model meets
+    together.  Port names are unique per component, so every declaration of
+    ``component.name`` names the same port, which has one direction and one
+    type; yet these ``declarations`` disagree on its direction or type, or
+    the closed interfaces in ``lacking`` leave the name out.  A source is a
+    view name, or None for the library."""
+
+    component: str
+    name: str
+    declarations: tuple[tuple[str | None, Port], ...]
+    lacking: tuple[str | None, ...] = ()
+
+    @property
+    def directions(self) -> frozenset[Direction]:
+        return frozenset(p.direction for _, p in self.declarations)
+
+    @property
+    def types(self) -> tuple[str, ...]:
+        """The declared types, sorted; an untyped declaration adds none."""
+        return tuple(sorted({p.type for _, p in self.declarations} - {None}))
+
+    @property
+    def disagrees(self) -> bool:
+        return bool(self.lacking) or len(self.directions) > 1 or len(self.types) > 1
+
+    def __str__(self) -> str:
+        directions, types = len(self.directions) > 1, len(self.types) > 1
+        parts = []
+        for source, p in self.declarations:
+            what = [("input" if p.direction is Direction.IN else "output")] if directions else []
+            what += [p.type or "?"] if types else []
+            parts.append(f"{' '.join(what) or 'declared'} in {'the library' if source is None else source}")
+        parts += ["absent from the library interface" if s is None
+                  else f"absent from the interface {s} marks complete" for s in self.lacking]
+        return f"port {self.component}.{self.name}: {', '.join(parts)}"
+
+
 class SpecResolutionError(Exception):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
@@ -280,6 +319,34 @@ class ResolvedSpec:
                      for c, n in ((ac.src_cmp, ac.src_port), (ac.tgt_cmp, ac.tgt_port)) if n is not None)
         pairs.update((d.component, p.name) for d in self.library for p in d.ports)
         return frozenset(pairs)
+
+    @cached_property
+    def closed_interfaces(self) -> tuple[tuple[str, tuple[Port, ...], str | None], ...]:
+        """``(component, ports, source)`` for each closed interface: each
+        library declaration (source None), then each interface-complete
+        marking (source: its view) in sorted order.  A present component has
+        exactly these ports."""
+        closed = [(d.component, d.ports, None) for d in self.library]
+        closed += [(c, self.views[v].by_name[c].ports, v) for v, c in sorted(self.interface_complete)]
+        return tuple(closed)
+
+    @cached_property
+    def port_clashes(self) -> tuple[PortClash, ...]:
+        """The ports whose declarations no model meets together, sorted by
+        component and name.  The declarations of a port are those of the
+        views, in view-name order, then the library's."""
+        decls: dict[tuple[str, str], list[tuple[str | None, Port]]] = {}
+        for vname in sorted(self.views):
+            for c in self.views[vname].components:
+                for p in c.ports:
+                    decls.setdefault((c.name, p.name), []).append((vname, p))
+        for d in self.library:
+            for p in d.ports:
+                decls.setdefault((d.component, p.name), []).append((None, p))
+        clashes = (PortClash(c, n, tuple(ds), tuple(src for cc, ports, src in self.closed_interfaces
+                                                     if cc == c and all(p.name != n for p in ports)))
+                   for (c, n), ds in sorted(decls.items()))
+        return tuple(clash for clash in clashes if clash.disagrees)
 
     @cached_property
     def types(self) -> frozenset[str]:

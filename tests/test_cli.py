@@ -119,6 +119,34 @@ def test_synth_json_counts_clauses_per_group_on_unsat():
     assert payload["clauses"]["views"] > 0
 
 
+def test_synth_names_the_port_clash_on_unsat():
+    p = run("synth", str(RJ / "S2NoNest.cncspec"))
+    assert p.returncode == 1
+    assert p.stdout.splitlines()[1:] == ["port Cylinder.angle: int in OldDesignNoNest, float in RJStructure"]
+    p = run("synth", str(RJ / "S2NoNest.cncspec"), "--json")
+    assert json.loads(p.stdout)["portClashes"] == [{
+        "component": "Cylinder", "port": "angle", "lacking": [],
+        "declarations": [{"source": "OldDesignNoNest", "direction": "in", "type": "int"},
+                         {"source": "RJStructure", "direction": "in", "type": "float"}]}]
+    assert json.loads(p.stdout)["clauses"]["port-identity"] == 3
+    p = run("synth", str(RJ / "S2NoNest.cncspec"), "--enumerate", "2")
+    assert p.returncode == 1
+    assert p.stdout.splitlines() == ["no model within scope",
+                                     "port Cylinder.angle: int in OldDesignNoNest, float in RJStructure"]
+
+
+def test_synth_is_silent_on_a_clash_that_the_formula_avoids(tmp_path):
+    (tmp_path / "V1.cncview").write_text("component A { port in int x; }\n")
+    (tmp_path / "V2.cncview").write_text("component A { port in float x; }\n")
+    (tmp_path / "s.cncspec").write_text("spec s { views { V1, V2 } formula: V1 || V2; }\n")
+    p = run("synth", str(tmp_path / "s.cncspec"), "--json")
+    assert p.returncode == 0
+    payload = json.loads(p.stdout)
+    assert payload["outcome"] == "sat" and "portClashes" not in payload
+    p = run("synth", str(tmp_path / "s.cncspec"))
+    assert p.returncode == 0 and "port A.x" not in p.stdout + p.stderr
+
+
 def test_synth_writes_out_and_dot(tmp_path):
     out = tmp_path / "m.cnc"
     dot = tmp_path / "m.dot"

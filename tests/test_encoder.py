@@ -40,7 +40,7 @@ from cncsynth.model import (
     validate_model,
 )
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
-from cncsynth.speclang import LibraryDecl, ScopeHints, Var, ViewSpec, resolve
+from cncsynth.speclang import And, LibraryDecl, Or, ScopeHints, Var, ViewSpec, evaluate_formula, resolve
 from cncsynth.synth import SynthOutcome, enumerate_models, synthesize
 
 
@@ -145,29 +145,31 @@ def test_encoding_shape():
 SCOPE = Scope(("A", "B"), 2, ("p", "q"), ("t",))
 
 
-def all_scope_models():
-    """Every well-formed single-top model over SCOPE, by brute force."""
+def all_scope_models(scope: Scope = SCOPE):
+    """Every well-formed single-top model over ``scope`` (components A and
+    B), by brute force."""
     port_options = [None] + [
-        (owner, name, d)
-        for owner in SCOPE.components
-        for name in SCOPE.port_names
+        (owner, name, d, t)
+        for owner in scope.components
+        for name in scope.port_names
         for d in (Direction.IN, Direction.OUT)
+        for t in scope.types
     ]
-    key = lambda opt: (opt[0], opt[1], opt[2].value)
+    key = lambda opt: (opt[0], opt[1], opt[2].value, opt[3])
     models = set()
     for parent, child in (("A", "B"), ("B", "A")):
-        for chosen in itertools.combinations_with_replacement(port_options, SCOPE.ports):
+        for chosen in itertools.combinations_with_replacement(port_options, scope.ports):
             ports = {c for c in chosen if c is not None}
             by_owner: dict[str, list[Port]] = {"A": [], "B": []}
-            for owner, name, d in sorted(ports, key=key):
-                by_owner[owner].append(Port(name, d, "t"))
+            for owner, name, d, t in sorted(ports, key=key):
+                by_owner[owner].append(Port(name, d, t))
             if any(len({p.name for p in ps}) != len(ps) for ps in by_owner.values()):
                 continue
             comps = [
                 Component(parent, tuple(by_owner[parent]), frozenset({child})),
                 Component(child, tuple(by_owner[child])),
             ]
-            refs = [PortRef(o, n) for (o, n, _) in sorted(ports, key=key)]
+            refs = [PortRef(o, n) for (o, n, _, _) in sorted(ports, key=key)]
             pairs = [(s, t) for s in refs for t in refs if s != t]
             for k in range(len(pairs) + 1):
                 for conns in itertools.combinations(pairs, k):
@@ -210,6 +212,86 @@ def test_enumeration_completeness_with_abstract_connector():
     assert expected, "the property must not hold vacuously"
 
 
+# Two types, so that views can disagree on the type of a port.  Every view
+# nests B in A, so the brute force above covers every model they admit.
+SCOPE2 = Scope(("A", "B"), 2, ("p", "q"), ("t", "u"))
+
+
+def views_of(*view_texts: str) -> tuple[tuple, frozenset]:
+    """Views V1, V2, ... parsed from ``view_texts``, and their
+    ``<<interface-complete>>`` markings."""
+    parsed = [parse_view_file(text, name=f"V{i}") for i, text in enumerate(view_texts, 1)]
+    marked = frozenset((f"V{i}", c) for i, pv in enumerate(parsed, 1) for c in pv.interface_complete)
+    return tuple(pv.view for pv in parsed), marked
+
+
+# Pairs of views whose port declarations disagree, or agree only when the
+# components are told apart.  Under ``&&`` a clashing pair admits no model;
+# under ``||`` each view's own models remain.
+CLASH_PAIRS = {
+    "type": ("component A { component B { port in t p; } }",
+             "component A { component B { port in u p; } }"),
+    "direction": ("component A { component B { port in t p; } }",
+                  "component A { component B { port out t p; } }"),
+    "library-lacks": ("component A { component B; }",
+                      "component A { component B { port in t p; } }"),
+    "library-type": ("component A { component B; }",
+                     "component A { component B { port out u q; } }"),
+    "library-empty": ("component A { component B; }",
+                      "component A { component B { port out t q; } }"),
+    "interface-complete-lacks": ("<<interface-complete>> component A { port in t p; component B; }",
+                                 "component A { port out t q; component B; }"),
+    "untyped-agrees": ("component A { component B { port in ? p; } }",
+                       "component A { component B { port in u p; } }"),
+    "other-component": ("component A { port in t p; component B; }",
+                        "component A { component B { port in u p; } }"),
+    "crossed": ("component A { port in t p; component B { port in u p; } }",
+                "component A { port in u p; component B { port in t p; } }"),
+    "crossed-direction": ("component A { port in t p; component B { port out t p; } }",
+                          "component A { port out t p; component B { port in t p; } }"),
+}
+LIBRARIES = {"library-lacks": LIB_B, "library-type": LIB_B, "library-empty": (LibraryDecl("B", ()),)}
+AGREEING = {"untyped-agrees", "other-component"}
+
+
+def clash_specs():
+    for name, texts in CLASH_PAIRS.items():
+        views, marked = views_of(*texts)
+        for op in (And, Or):
+            formula = op([Var(v.name) for v in views])
+            yield f"{name} {op.__name__}", resolve(ViewSpec(
+                "s", views, formula, library=LIBRARIES.get(name, ()), interface_complete=marked))
+
+
+@pytest.mark.parametrize("ports", [2, 0])
+def test_port_identity_keeps_every_model_on_tiny_scope(ports):
+    # The port-identity clauses are implied: enumeration must still equal
+    # the checker-accepted brute-force set, clash or no clash.
+    scope = dataclasses.replace(SCOPE2, ports=ports)
+    scope_models = all_scope_models(scope)
+    sizes = {}
+    for name, spec in clash_specs():
+        expected = {m for m in scope_models if evaluate_spec(m, spec).overall}
+        got = list(enumerate_models(spec, scope=scope))
+        assert len(got) == len(set(got)) and set(got) == expected, name
+        for m in got:
+            valuation = {v: oracle_satisfies(m, view) for v, view in spec.views.items()}
+            assert evaluate_formula(spec.formula, valuation), name
+        sizes[name] = len(got)
+    for name in CLASH_PAIRS:
+        # A clash leaves no model under &&; agreeing declarations keep some.
+        assert (sizes[f"{name} And"] == 0) == (name not in AGREEING or ports == 0), name
+        assert sizes[f"{name} Or"] > 0 or (ports == 0 and name != "library-empty"), name
+
+
+def test_port_identity_clauses_only_for_clashing_ports():
+    for name, spec in clash_specs():
+        groups = {label for label, _, _ in encode(spec, SCOPE2).cnf.groups}
+        assert ("port-identity" in groups) == bool(spec.port_clashes), name
+    assert [str(c) for c in dict(clash_specs())["crossed And"].port_clashes] == [
+        "port A.p: t in V1, u in V2", "port B.p: u in V1, t in V2"]
+
+
 # --- The encoding is pinned: a change to how clauses are built must not move
 # a single variable or literal ------------------------------------------------
 
@@ -232,16 +314,18 @@ DIGEST_SPECS = {
     """, library=LIB_B),
 }
 
-# sha256 of repr((num_vars, clauses, groups, comments)) for each input.
+# sha256 of repr((num_vars, clauses, groups, comments)) for each input.  S2
+# and S2NoNest declare Cylinder.angle as int and as float, so they end with a
+# port-identity group; no other input has a port clash.
 CNF_DIGESTS = {
     "Lander": "74e59ac5f59cba5d851d6755038cb4b07d318400bc2dc3ac6f2133f56fb90b86",
     "S1": "9010dbe71dd2c39dac48ad987aafa610a7e6547bc675a3465a1c4a051b2b1293",
     "S1amp": "fa28ef15f224a92bb39c2914d93edc3531b48da39badbd508557b81433e728dc",
     "S1hier": "8cd9f1a6f099723162f5f467feff0dd245d88d8ce2b9d4b6d85911d8298da717",
     "S1lib": "1ea782e40de5f563341a40a1e4b439ab8779474086dd4bb2af4c02be6cc18b02",
-    "S2": "955314da40083db7bba80ab04847a6ba2278e73c5efc3e1a06bbfea6d4dafab9",
+    "S2": "b6f1bc2ec5dd4ce32bbb15f3f2dfb275cfb9e30e487685524580516f03a7e030",
     "S2Fixed": "33797e4bdaff58933fb480fe3964f73d9f3e6e57ae9d80e97b300eb62df21753",
-    "S2NoNest": "6d74f43d18bc10457ac6790cb07c5a5c1dbfd116b0ed153bce72737dc0c2b06e",
+    "S2NoNest": "ca0e5f8af12dc96375c84fad7079739f589111f58fe95c6bd51dcba020b3db95",
     "S1lib@ports=10": "ed14b80d81d4c175c5a587096c5908d0a744996223360eea640df65a9d9ab93a",
     "S1@ports=19": "9010dbe71dd2c39dac48ad987aafa610a7e6547bc675a3465a1c4a051b2b1293",
     "3sat-n1": "3a43dc93e81ba8af68bb3a99482df96d2a6e3e00ac8155bb65806bf055ff7835",

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -213,7 +217,16 @@ def test_search_counts_lander_first_solve():
 
 
 def test_search_counts_s2nonest():
-    assert search_counts(encode(load_spec(str(RJ / "S2NoNest.cncspec"))).cnf) == (UNSAT, 1028, 16053, 752535)
+    # The port-identity clauses refute Cylinder.angle's int and float
+    # declarations at the root; before them the search took 1028/16053/752535.
+    assert search_counts(encode(load_spec(str(RJ / "S2NoNest.cncspec"))).cnf) == (UNSAT, 0, 0, 131)
+
+
+def test_search_counts_s1lib_ports10():
+    # A refutation that needs CDCL search: S1lib is SAT at its own 12 ports.
+    spec = load_spec(str(RJ / "S1lib.cncspec"))
+    spec = dataclasses.replace(spec, scope_hints=dataclasses.replace(spec.scope_hints, ports=10))
+    assert search_counts(encode(spec).cnf) == (UNSAT, 2843, 8768, 538920)
 
 
 def test_search_counts_3sat_reduction():
@@ -302,6 +315,49 @@ def test_solve_rejects_a_model_that_breaks_an_assumption(monkeypatch):
     monkeypatch.setattr(sat._Cdcl, "solve", flip)
     with pytest.raises(SolverError):
         solve(CnfInstance(2, ((1, 2, -1),)), assumptions=[1])
+
+
+# --- one deadline for a whole enumeration -----------------------------------------
+
+class FakeClock:
+    """A monotonic clock that moves only when a test moves it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+def test_deadline_bounds_a_whole_enumeration(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(sat, "time", clock)
+    statuses = []
+    for r in iter_assignments(CnfInstance(3, ()), SolverConfig(limits=SolverLimits(wall_seconds=1.0))):
+        statuses.append(r.status)
+        clock.now += 0.4  # each model takes 0.4 s; the fourth solve starts past the deadline
+    assert statuses == [SAT, SAT, SAT, RESOURCE_LIMIT]
+
+
+def test_external_calls_get_the_time_that_is_left(monkeypatch):
+    clock = FakeClock()
+    timeouts = []
+
+    def run(cmd, timeout, **kw):
+        timeouts.append(timeout)
+        clock.now += 0.4
+        r = solve(parse_dimacs(Path(cmd[1]).read_text()))
+        if r.status != SAT:
+            return subprocess.CompletedProcess(cmd, 20, "s UNSATISFIABLE\n", "")
+        lits = " ".join(str(v if b else -v) for v, b in r.assignment.items())
+        return subprocess.CompletedProcess(cmd, 10, f"s SATISFIABLE\nv {lits} 0\n", "")
+
+    monkeypatch.setattr(sat, "time", clock)
+    monkeypatch.setattr(sat, "subprocess", SimpleNamespace(run=run, TimeoutExpired=subprocess.TimeoutExpired))
+    cfg = SolverConfig(engine="external-solver", limits=SolverLimits(wall_seconds=1.0))
+    statuses = [r.status for r in iter_assignments(CnfInstance(3, ()), cfg)]
+    assert statuses == [SAT, SAT, SAT, RESOURCE_LIMIT]
+    assert timeouts == pytest.approx([1.0, 0.6, 0.2])
 
 
 # --- external engine -------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cncsynth.model import CncView, Component, Direction
+from cncsynth.model import CncView, Component, Direction, Port
 from cncsynth.speclang import (
     And,
     LibraryDecl,
@@ -151,3 +151,25 @@ def test_style_config_validation():
         StyleConfig(StyleKind.LAYERED, layers=(("A",),))
     with pytest.raises(ValueError):
         StyleConfig(StyleKind.LAYERED, layers=(("A",), ("A",)))
+
+
+def test_port_clashes_name_every_declaration_and_closed_interface():
+    def comp(name, *ports):
+        return Component(name, tuple(Port(n, d, t) for n, d, t in ports))
+
+    IN, OUT = Direction.IN, Direction.OUT
+    views = (CncView.build("V1", [comp("A", ("x", IN, "int"), ("y", IN, "int"), ("z", IN, None))]),
+             CncView.build("V2", [comp("A", ("x", OUT, "float"), ("y", IN, None), ("z", IN, None)),
+                                  comp("L", ("w", IN, "int"))]),
+             CncView.build("V3", [comp("A", ("x", IN, None), ("y", IN, "int"))]))
+    spec = resolve(ViewSpec("s", views, Var("V1"), interface_complete={("V3", "A"), ("V2", "L")},
+                            library=(LibraryDecl("L", (("v", Direction.IN, "int"),)),)))
+    # A.y's untyped declaration agrees with every type; only A.z is missing
+    # from the interface that V3 marks complete.
+    assert [str(c) for c in spec.port_clashes] == [
+        "port A.x: input int in V1, output float in V2, input ? in V3",
+        "port A.z: declared in V1, declared in V2, absent from the interface V3 marks complete",
+        "port L.v: declared in the library, absent from the interface V2 marks complete",
+        "port L.w: declared in V2, absent from the library interface",
+    ]
+    assert spec.port_clashes[0].declarations[2] == ("V3", Port("x", IN, None))

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import LANDER
 
+from cncsynth import sat
 from cncsynth.cli import load_spec
 from cncsynth.dsl import parse_view
 from cncsynth.model import contains_transitive
@@ -72,6 +73,26 @@ def test_enumeration_raises_timeout_on_resource_limit():
     spec = load_spec(str(LANDER / "Lander.cncspec"))
     with pytest.raises(TimeoutError):
         list(enumerate_models(spec, config=SolverConfig(limits=SolverLimits(conflicts=0))))
+
+
+def test_timeout_bounds_the_whole_enumeration(monkeypatch):
+    # A clock that moves 0.1 s on every reading: each solve call reads it at
+    # least twice, so a 1 s limit ends the enumeration within a few models,
+    # where a per-call limit would let all 2000 through.
+    class TickingClock:
+        now = 0.0
+
+        def monotonic(self):
+            self.now += 0.1
+            return self.now
+
+    monkeypatch.setattr(sat, "time", TickingClock())
+    spec = load_spec(str(LANDER / "Lander.cncspec"))
+    models = []
+    with pytest.raises(TimeoutError):
+        for m in enumerate_models(spec, limit=2000, config=SolverConfig(limits=SolverLimits(wall_seconds=1.0))):
+            models.append(m)
+    assert 1 <= len(models) <= 5
 
 
 def test_enumeration_limit_counts_models():
