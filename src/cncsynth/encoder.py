@@ -120,7 +120,6 @@ class Encoding:
     cnf: CnfInstance
     varmap: VarMap
     scope: Scope
-    spec: ResolvedSpec
     structural_vars: tuple[int, ...]
 
 
@@ -264,15 +263,14 @@ class _Encoder:
         self._reachability()
         self._views()
         self._formula()
-        self._library()
-        self._interface_complete()
+        self._closed_interfaces()
         self._style()
         self._port_identity()
         self.end()
 
         comments = [f"var {v} {self.vm.describe(v)}" for v in self.structural]
         cnf = CnfInstance(self.vm.num_vars, tuple(self.clauses), tuple(comments), tuple(self.groups))
-        return Encoding(cnf, self.vm, self.scope, self.spec, self.structural)
+        return Encoding(cnf, self.vm, self.scope, self.structural)
 
     # -- core well-formedness --------------------------------------------------
 
@@ -565,20 +563,18 @@ class _Encoder:
         for p in self.slots:
             self.add(-self.owner[p][c], *(self.pname[p][n] for n in names))
 
-    def _library(self) -> None:
-        """A library component is a leaf with exactly its declared interface."""
-        self.begin("library")
-        for decl in self.spec.library:
-            c = decl.component
-            for d in self.comps:
-                if d != c:
-                    self.add(-self.ex[c], -self.par[c][d])
-            self._closed_interface(c, decl.ports)
-
-    def _interface_complete(self) -> None:
-        self.begin("interface-complete")
-        for vname, cname in sorted(self.spec.interface_complete):
-            self._closed_interface(cname, self.spec.views[vname].by_name[cname].ports)
+    def _closed_interfaces(self) -> None:
+        """Each closed interface, library declarations first: its component
+        has exactly its ports, and a library component is also a leaf."""
+        for c, ports, source in self.spec.closed_interfaces:
+            label = "library" if source is None else "interface-complete"
+            if label != self._group_label:
+                self.begin(label)
+            if source is None:
+                for d in self.comps:
+                    if d != c:
+                        self.add(-self.ex[c], -self.par[c][d])
+            self._closed_interface(c, ports)
 
     def _port_identity(self) -> None:
         """Implied clauses for the ports whose declarations disagree

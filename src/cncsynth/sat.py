@@ -8,10 +8,13 @@ allocated first by the encoder, so initial decisions start in the
 structural core.  As in MiniSat (Een & Sorensson, SAT 2003), the order heap
 holds one current entry per variable: backtracking pushes a variable only
 when it has none.  The formula's clauses reach the solver through one
-loader, ``_Cdcl.add_clauses``.  ``solve`` and ``iter_assignments`` share one
-loop, ``_answers``, for both engines; it checks every SAT answer against
-every clause (original, assumption and blocking) before returning it, and
-its one deadline bounds the whole loop, every solve call included.
+loader, ``_Cdcl.add_clauses``, and every clause that the trail falsifies,
+learnt or blocking, through one assertion path, ``_Cdcl._learn``.  An
+external solver, ``_External``, takes clauses through the same interface.
+``solve`` and ``iter_assignments`` share one loop, ``_answers``, for both
+engines; it checks every SAT answer against every clause (original and
+blocking) before returning it, and its one deadline bounds the whole loop,
+every solve call included.
 
 Enumeration is incremental with the internal engine.  As in all-solutions
 solvers (Toda & Soh, ACM JEA 2016; Gebser, Kaufmann & Schaub, CPAIOR
@@ -42,16 +45,6 @@ class CnfInstance:
     clauses: tuple[tuple[int, ...], ...]
     comments: tuple[str, ...] = ()
     groups: tuple[tuple[str, int, int], ...] = ()
-
-    def extended(self, extra: list[tuple[int, ...]], label: str = "added") -> "CnfInstance":
-        """Copy-on-extend: a new instance with ``extra`` clauses appended."""
-        n = len(self.clauses)
-        return CnfInstance(
-            self.num_vars,
-            self.clauses + tuple(tuple(c) for c in extra),
-            self.comments,
-            self.groups + ((label, n, n + len(extra)),),
-        )
 
 
 @dataclass(frozen=True)
@@ -140,9 +133,10 @@ class _Cdcl:
     clear, and an entry at an older activity is dropped when popped.
 
     The formula's clauses enter through ``add_clauses`` before the first
-    solve.  Learnt clauses, and blocking clauses between solves (through
-    ``add_blocking_clause``), are attached by ``_watch`` with their
-    asserting literal first.
+    solve.  A clause that the trail falsifies, a learnt clause or a blocking
+    clause between solves (through ``add_blocking_clause``), enters through
+    ``_learn``, which attaches it, backjumps to its assertion level and
+    implies its first literal.
     """
 
     def __init__(self, num_vars: int, limits: SolverLimits, deadline: float | None = None):
@@ -221,40 +215,44 @@ class _Cdcl:
         false on the trail that found it) and backjump to the clause's
         assertion level, so the next solve resumes there instead of at the
         root.  Literals false at the root are dropped: with none left the
-        formula is UNSAT, and one left becomes a root unit.  Otherwise the
-        literals are ordered by decreasing decision level and the solver
-        backjumps to the level of the second; the first, now the clause's
-        only unassigned literal, is implied with the clause as its reason.
-        When the two highest literals share a level, the solver backjumps
-        one level below it and the clause watches both."""
+        formula is UNSAT.  The rest, ordered by decreasing decision level,
+        go to ``_learn``."""
         level = self.level
         out = sorted((l for l in lits if level[abs(l)] > 0),
                      key=lambda l: level[abs(l)], reverse=True)
-        if not out:
-            self.ok = False
-        elif len(out) == 1:
-            self.cancel_until(0)
-            self.enqueue(out[0], None)
+        if out:
+            self._learn(out)
         else:
-            top, second = level[abs(out[0])], level[abs(out[1])]
-            self.cancel_until(second if top > second else top - 1)
-            reason = self._watch(out)
-            if top > second:
-                self.enqueue(out[0], reason)
+            self.ok = False
 
-    def _watch(self, c: list[int]) -> int | list[int]:
-        """Attach a clause of two or more literals, watching its first two,
-        and return the reason that implies ``c[0]`` through it: the other
-        literal of a binary clause, else the clause itself."""
+    def _learn(self, c: list[int]) -> None:
+        """Assert a clause that the trail falsifies, given with its literal
+        of highest decision level first and the next-highest second.  A
+        unit is implied at the root.  A longer clause is attached, watching
+        its first two literals, and the solver backjumps to the level of the
+        second; the first, now the clause's only unassigned literal, is
+        implied with the clause as its reason (for a binary clause, the
+        other literal).  When the two share a level, the solver backjumps
+        one level below it and the clause only watches them."""
+        a = c[0]
+        if len(c) == 1:
+            self.cancel_until(0)
+            self.enqueue(a, None)
+            return
         nv = self.nv
-        a, b = c[0], c[1]
+        b = c[1]
+        top, second = self.level[abs(a)], self.level[abs(b)]
+        self.cancel_until(second if top > second else top - 1)
         if len(c) == 2:
             self.bin_imp[nv - a].append(b)
             self.bin_imp[nv - b].append(a)
-            return b
-        self.watches[a + nv].append((b, c))
-        self.watches[b + nv].append((a, c))
-        return c
+            reason = b
+        else:
+            self.watches[a + nv].append((b, c))
+            self.watches[b + nv].append((a, c))
+            reason = c
+        if top > second:
+            self.enqueue(a, reason)
 
     def enqueue(self, lit: int, reason) -> bool:
         nv = self.nv
@@ -346,9 +344,9 @@ class _Cdcl:
         self.stats.propagations += props
         return None
 
-    def analyze(self, conflict) -> tuple[list[int], int]:
-        """1UIP learning with local minimization; returns (clause, backjump
-        level)."""
+    def analyze(self, conflict) -> list[int]:
+        """1UIP learning with local minimization; returns the clause in the
+        literal order that ``_learn`` takes."""
         seen = self.seen
         level = self.level
         trail = self.trail
@@ -411,16 +409,15 @@ class _Cdcl:
         if activity[pv] > 1e100:
             self._rescale_activity()
         self.var_inc *= self.inv_decay
-        if len(learnt) == 1:
-            return learnt, 0
-        # Backjump to the second-highest decision level in the clause.
-        max_i, max_level = 1, level[abs(learnt[1])]
-        for i in range(2, len(learnt)):
-            li = level[abs(learnt[i])]
-            if li > max_level:
-                max_i, max_level = i, li
-        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, max_level
+        if len(learnt) > 1:
+            # The first literal of the second-highest level goes second.
+            max_i, max_level = 1, level[abs(learnt[1])]
+            for i in range(2, len(learnt)):
+                li = level[abs(learnt[i])]
+                if li > max_level:
+                    max_i, max_level = i, li
+            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
+        return learnt
 
     def _rescale_activity(self) -> None:
         self.activity = [a * 1e-100 for a in self.activity]
@@ -506,14 +503,8 @@ class _Cdcl:
 
     def solve(self) -> SolveResult:
         """Search on until an answer, the conflict limit or the deadline."""
-        start = time.monotonic()
-        result = self._solve(start)
-        self.stats.solve_seconds = time.monotonic() - start
-        self.warm_start = result.status == SAT
-        return result
-
-    def _solve(self, start: float) -> SolveResult:
-        if self.deadline is not None and start >= self.deadline:
+        warm, self.warm_start = self.warm_start, False
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             return SolveResult(RESOURCE_LIMIT, stats=self.stats)
         # A conflict found by propagation alone means UNSAT only at the root;
         # above it (a warm resume) the search analyzes it as usual.
@@ -521,7 +512,6 @@ class _Cdcl:
             return SolveResult(UNSAT, stats=self.stats)
         budget = self.SEGMENT_BUDGET
         seg = 0
-        warm = self.warm_start
         while True:
             decay, polarity = self.PORTFOLIO[seg % len(self.PORTFOLIO)]
             self.inv_decay = 1.0 / decay
@@ -536,6 +526,7 @@ class _Cdcl:
             self._rebuild_heap()
             result = self._search(self.stats.conflicts + budget)
             if result is not None:
+                self.warm_start = result.status == SAT
                 return result
             seg += 1
             if seg % len(self.PORTFOLIO) == 0:
@@ -555,16 +546,10 @@ class _Cdcl:
                 self.stats.conflicts += 1
                 if not self.trail_lim:
                     return SolveResult(UNSAT, stats=self.stats)
-                learnt, back_level = self.analyze(conflict)
-                self.cancel_until(back_level)
-                if len(learnt) == 1:
-                    if not self.enqueue(learnt[0], None):
-                        return SolveResult(UNSAT, stats=self.stats)
-                else:
-                    if len(learnt) > 2:
-                        self.learnts.append(learnt)
-                    if not self.enqueue(learnt[0], self._watch(learnt)):
-                        return SolveResult(UNSAT, stats=self.stats)
+                learnt = self.analyze(conflict)
+                if len(learnt) > 2:
+                    self.learnts.append(learnt)
+                self._learn(learnt)
                 conflicts_until_restart -= 1
                 lim = self.limits
                 if lim.conflicts is not None and self.stats.conflicts >= lim.conflicts:
@@ -602,11 +587,10 @@ def _luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def solve(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
-          assumptions: list[int] | None = None) -> SolveResult:
-    """Solve a CNF instance, with ``assumptions`` added as unit clauses.  A
-    SAT answer is re-verified against every clause before it is returned."""
-    return next(_answers(cnf, cfg, [(l,) for l in assumptions or ()], []))
+def solve(cnf: CnfInstance, cfg: SolverConfig = SolverConfig()) -> SolveResult:
+    """Solve a CNF instance.  A SAT answer is re-verified against every
+    clause before it is returned."""
+    return next(_answers(cnf, cfg, []))
 
 
 def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
@@ -619,78 +603,87 @@ def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
     proj = sorted(set(projection)) if projection is not None else list(range(1, cnf.num_vars + 1))
     if not proj:
         raise ValueError("projection must not be empty")
-    return _answers(cnf, cfg, [], proj)
+    return _answers(cnf, cfg, proj)
 
 
-def _answers(cnf: CnfInstance, cfg: SolverConfig, extra: list[tuple[int, ...]],
-             projection: list[int]) -> Iterator[SolveResult]:
-    """Yield the answer for ``cnf`` plus the clauses ``extra`` and, after
-    each SAT answer, the answer once a clause blocking it on ``projection``
-    joins ``extra``; the first non-SAT answer is the last.  The internal
-    engine takes each blocking clause into the live solver; an external one
-    solves the whole of ``cnf`` and ``extra`` afresh.  Every SAT answer is
-    checked against all of those clauses; a variable it leaves out reads
-    False, here and in the blocking clause.  ``cfg.limits.wall_seconds``
-    bounds the whole loop: each call gets the time that is left."""
+def _answers(cnf: CnfInstance, cfg: SolverConfig, projection: list[int]) -> Iterator[SolveResult]:
+    """Yield the answer for ``cnf`` and, after each SAT answer, the answer
+    once a clause blocking it on ``projection`` joins the solver; the first
+    non-SAT answer is the last.  The internal engine takes each blocking
+    clause into the live search; an external one solves every clause afresh.
+    Every SAT answer is checked against the formula and the blocking
+    clauses; a variable it leaves out reads False, here and in the blocking
+    clause.  ``cfg.limits.wall_seconds`` bounds the whole loop: each call
+    gets the time that is left."""
     wall = cfg.limits.wall_seconds
     deadline = None if wall is None else time.monotonic() + wall
-    internal = cfg.engine == "internal"
-    if internal:
-        solver = _Cdcl(cnf.num_vars, cfg.limits, deadline)
-        solver.add_clauses(cnf.clauses)
-        solver.add_clauses(extra)
+    solver = (_Cdcl(cnf.num_vars, cfg.limits, deadline) if cfg.engine == "internal"
+              else _External(cfg.engine, cnf.num_vars, deadline))
+    solver.add_clauses(cnf.clauses)
+    blocking: list[tuple[int, ...]] = []
     while True:
-        result = solver.solve() if internal else _solve_external(cnf, cfg.engine, extra, deadline)
-        if result.status == SAT and not _satisfies(result.assignment, cnf.clauses, extra):
+        start = time.monotonic()
+        result = solver.solve()
+        result.stats.solve_seconds = time.monotonic() - start
+        if result.status == SAT and not _satisfies(result.assignment, cnf.clauses, blocking):
             raise SolverError("solver returned an assignment that does not satisfy the formula")
         yield result
         if result.status != SAT:
             return
         clause = tuple(-v if result.assignment.get(v, False) else v for v in projection)
-        extra.append(clause)
-        if internal:
-            solver.add_blocking_clause(clause)
+        blocking.append(clause)
+        solver.add_blocking_clause(clause)
 
 
 # Conventional solver exit codes.
 _EXIT_STATUS = {10: SAT, 20: UNSAT}
 
 
-def _solve_external(cnf: CnfInstance, engine: str, extra_clauses: list[tuple[int, ...]],
-                    deadline: float | None) -> SolveResult:
-    """Run the executable ``engine`` on a DIMACS file of ``cnf`` plus
-    ``extra_clauses``.  A run that reaches the monotonic clock time
-    ``deadline`` is killed, and one that would start at or after it is not
-    started; both are reported as RESOURCE_LIMIT.  There is no portable way
-    to give an arbitrary binary a conflict limit, so ``SolverLimits.conflicts``
-    does not apply here.  The verdict is read from the 's' line; an exit code
-    of 10 or 20 that disagrees with it raises SolverError."""
-    start = time.monotonic()
-    if deadline is not None and start >= deadline:
-        return SolveResult(RESOURCE_LIMIT)
-    work = cnf.extended(extra_clauses) if extra_clauses else cnf
-    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-        fh.write(emit_dimacs(work))
-        path = fh.name
-    try:
-        proc = subprocess.run([engine, path], capture_output=True, text=True,
-                              timeout=None if deadline is None else deadline - time.monotonic())
-    except subprocess.TimeoutExpired:  # run() has killed and reaped the solver
-        proc = None
-    except OSError as exc:
-        raise SolverError(f"cannot run external solver {cfg.engine!r}: {exc}") from exc
-    finally:
-        Path(path).unlink(missing_ok=True)
-    if proc is None:
-        result = SolveResult(RESOURCE_LIMIT)
-    else:
+class _External:
+    """An external solver behind ``_Cdcl``'s interface.  It keeps the
+    clauses added so far, and each ``solve`` runs the executable ``engine``
+    on a DIMACS file of all of them.  A run that reaches the monotonic clock
+    time ``deadline`` is killed, and one that would start at or after it is
+    not started; both are reported as RESOURCE_LIMIT.  There is no portable
+    way to give an arbitrary binary a conflict limit, so
+    ``SolverLimits.conflicts`` does not apply here.  The verdict is read from
+    the 's' line; an exit code of 10 or 20 that disagrees with it, or an
+    executable that cannot be run, raises SolverError."""
+
+    def __init__(self, engine: str, num_vars: int, deadline: float | None):
+        self.engine = engine
+        self.num_vars = num_vars
+        self.deadline = deadline
+        self.clauses: list[tuple[int, ...]] = []
+
+    def add_clauses(self, clauses) -> None:
+        self.clauses.extend(clauses)
+
+    def add_blocking_clause(self, lits: tuple[int, ...]) -> None:
+        self.clauses.append(lits)
+
+    def solve(self) -> SolveResult:
+        deadline = self.deadline
+        if deadline is not None and time.monotonic() >= deadline:
+            return SolveResult(RESOURCE_LIMIT)
+        with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
+            fh.write(emit_dimacs(CnfInstance(self.num_vars, tuple(self.clauses))))
+            path = fh.name
+        try:
+            proc = subprocess.run([self.engine, path], capture_output=True, text=True,
+                                  timeout=None if deadline is None else deadline - time.monotonic())
+        except subprocess.TimeoutExpired:  # run() has killed and reaped the solver
+            return SolveResult(RESOURCE_LIMIT)
+        except OSError as exc:
+            raise SolverError(f"cannot run external solver {self.engine!r}: {exc}") from exc
+        finally:
+            Path(path).unlink(missing_ok=True)
         result = parse_dimacs_result(proc.stdout)
         expected = _EXIT_STATUS.get(proc.returncode, result.status)
         if expected != result.status:
             raise SolverError(f"external solver exited with code {proc.returncode} "
                               f"but reported {result.status}")
-    result.stats.solve_seconds = time.monotonic() - start
-    return result
+        return result
 
 
 # --- DIMACS ------------------------------------------------------------------

@@ -69,6 +69,13 @@ def test_synth_is_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_synth_with_a_missing_solver_is_an_internal_error(tmp_path):
+    missing = tmp_path / "no-such-solver"
+    p = run("synth", SPEC, "--solver", str(missing))
+    assert p.returncode == 3
+    assert f"internal error: cannot run external solver {str(missing)!r}" in p.stderr
+
+
 def test_synth_enumerate():
     p = run("synth", SPEC, "--enumerate", "3", "--json")
     assert p.returncode == 0

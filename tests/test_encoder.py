@@ -292,6 +292,18 @@ def test_port_identity_clauses_only_for_clashing_ports():
         "port A.p: t in V1, u in V2", "port B.p: u in V1, t in V2"]
 
 
+def test_closed_interfaces_get_one_group_per_kind():
+    views, marked = views_of("<<interface-complete>> component A { port in t p; component B; component C; }",
+                             "<<interface-complete>> component D { port out t r; }")
+    library = (LibraryDecl("B", (("q", Direction.OUT, "t"),)), LibraryDecl("C", ()))
+    spec = resolve(ViewSpec("s", views, And([Var("V1"), Var("V2")]), library=library,
+                            interface_complete=marked))
+    groups = [(label, lo, hi) for label, lo, hi in encode(spec).cnf.groups
+              if label in ("library", "interface-complete")]
+    assert [label for label, _, _ in groups] == ["library", "interface-complete"]
+    assert groups[0][2] == groups[1][1]
+
+
 # --- The encoding is pinned: a change to how clauses are built must not move
 # a single variable or literal ------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import subprocess
 import sys
@@ -142,13 +143,6 @@ def test_parse_dimacs_result():
     assert parse_dimacs_result("s SATISFIABLE\nv 0\n").assignment == {}
 
 
-def test_extended_groups():
-    cnf = CnfInstance(2, ((1,),), groups=(("base", 0, 1),))
-    ext = cnf.extended([(2,), (-1, 2)], label="extra")
-    assert ext.clauses == ((1,), (2,), (-1, 2))
-    assert ext.groups[-1] == ("extra", 1, 3)
-
-
 def test_iter_assignments_enumerates_projection_exactly():
     # x3 is free; projecting on {1, 2} must give exactly the 3 solutions of
     # (x1 | x2), each distinct, then a terminal UNSAT.
@@ -162,13 +156,13 @@ def test_iter_assignments_enumerates_projection_exactly():
 
 
 @st.composite
-def cnf_and_projection(draw) -> tuple[CnfInstance, list[int]]:
-    """Up to 8 variables and 20 clauses of width 1-3, and a non-empty
-    projection."""
-    n = draw(st.integers(1, 8))
+def cnf_and_projection(draw, max_vars: int = 8, max_clauses: int = 20) -> tuple[CnfInstance, list[int]]:
+    """Up to ``max_vars`` variables and ``max_clauses`` clauses of width 1-3,
+    and a non-empty projection."""
+    n = draw(st.integers(1, max_vars))
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
     clauses = draw(st.lists(st.tuples(lit) | st.tuples(lit, lit) | st.tuples(lit, lit, lit),
-                            max_size=20))
+                            max_size=max_clauses))
     projection = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
     return CnfInstance(n, tuple(clauses)), projection
 
@@ -304,7 +298,8 @@ def test_iter_assignments_rejects_a_model_that_breaks_a_blocking_clause(monkeypa
         next(steps)
 
 
-def test_solve_rejects_a_model_that_breaks_an_assumption(monkeypatch):
+def test_solve_rejects_a_model_that_breaks_a_formula_clause(monkeypatch):
+    # The unit clause fixes x1; the flipped model breaks it.
     real_solve = sat._Cdcl.solve
 
     def flip(self):
@@ -314,7 +309,7 @@ def test_solve_rejects_a_model_that_breaks_an_assumption(monkeypatch):
 
     monkeypatch.setattr(sat._Cdcl, "solve", flip)
     with pytest.raises(SolverError):
-        solve(CnfInstance(2, ((1, 2, -1),)), assumptions=[1])
+        solve(CnfInstance(2, ((1,), (1, 2, -1))))
 
 
 # --- one deadline for a whole enumeration -----------------------------------------
@@ -437,3 +432,42 @@ def test_external_solver_all_false_model(tmp_path):
     cnf = CnfInstance(2, ((-1,), (-2, -1)))
     result = solve(cnf, fake_solver(tmp_path, BRUTE_FORCE))
     assert result.status == SAT and check_assignment(cnf, result.assignment)
+
+
+def test_missing_external_solver_is_a_solver_error(tmp_path):
+    cfg = SolverConfig(engine=str(tmp_path / "no-such-solver"))
+    with pytest.raises(SolverError, match="cannot run external solver"):
+        solve(CnfInstance(1, ((1,),)), cfg)
+
+
+def brute_force_run(cmd, timeout, **kw):
+    """``subprocess.run`` for a solver that reads the DIMACS file ``cmd[1]``
+    and, like BRUTE_FORCE, prints only the true literals of its first model
+    in counting order, so an all-false model reads "v 0"."""
+    cnf = parse_dimacs(Path(cmd[1]).read_text())
+    for bits in itertools.product((False, True), repeat=cnf.num_vars):
+        if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in cnf.clauses):
+            lits = [str(v) for v in range(1, cnf.num_vars + 1) if bits[v - 1]]
+            return subprocess.CompletedProcess(cmd, 10, f"s SATISFIABLE\nv {' '.join(lits + ['0'])}\n", "")
+    return subprocess.CompletedProcess(cmd, 20, "s UNSATISFIABLE\n", "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cnf_and_projection(max_vars=5, max_clauses=8))
+@example((CnfInstance(2, ((-1,), (-2, 1))), [2]))  # one model, all false
+def test_external_engine_matches_internal(case):
+    # The external engine sees each blocking clause only through the DIMACS
+    # file it writes; it must answer as the internal engine does.
+    cnf, projection = case
+    proj = sorted(projection)
+
+    def answers(cfg):
+        results = list(iter_assignments(cnf, cfg, projection))
+        return ([r.status for r in results],
+                {tuple(r.assignment.get(v, False) for v in proj) for r in results[:-1]})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sat, "subprocess", SimpleNamespace(run=brute_force_run,
+                                                      TimeoutExpired=subprocess.TimeoutExpired))
+        external = answers(SolverConfig(engine="brute-force"))
+    assert external == answers(SolverConfig())
