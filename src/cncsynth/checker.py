@@ -166,8 +166,8 @@ class EvaluationResult:
 def _closed_interface_violations(m: CncModel, spec: ResolvedSpec) -> list[StyleViolation]:
     """A library component has no subcomponents, and a library or
     interface-complete component has exactly its declared ports."""
-    out = [StyleViolation(d.component, "library component has subcomponents")
-           for d in spec.library if d.component in m.by_name and m.by_name[d.component].subcomponents]
+    out = [StyleViolation(d.name, "library component has subcomponents")
+           for d in spec.library if d.name in m.by_name and m.by_name[d.name].subcomponents]
     for name, ports, view in spec.closed_interfaces:
         c = m.by_name.get(name)
         # Port names are unique on both sides, so equal counts and every
@@ -246,7 +246,7 @@ def evaluate_spec(m: CncModel, spec: ResolvedSpec) -> EvaluationResult:
     top-level members may be several tops."""
     _require_well_formed(m, allow_multiple_tops=bool(spec.style.tops))
     per_view = {name: _judge_view(m, view).satisfied for name, view in sorted(spec.views.items())}
-    formula_value = evaluate_formula(spec.expanded_formula, per_view)
+    formula_value = evaluate_formula(spec.formula, per_view)
     constraint_violations = (
         _closed_interface_violations(m, spec)
         + _style_violations(m, spec.style)

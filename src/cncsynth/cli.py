@@ -20,7 +20,8 @@ from cncsynth.dsl import (
     export_dot,
     parse_model,
     parse_spec,
-    parse_view_file,
+    parse_style,
+    parse_view,
     print_model,
     print_view,
 )
@@ -60,17 +61,13 @@ def load_spec(path: str) -> ResolvedSpec:
     src = parse_spec(_read(path), path)
     base = Path(path).parent
     views = []
-    marked: set[tuple[str, str]] = set()
     for name in src.view_names:
         vpath = base / f"{name}.cncview"
         if not vpath.exists():
             raise CliError(f"{path}: view {name!r} has no file {vpath}")
-        parsed = parse_view_file(_read(str(vpath)), name, str(vpath))
-        views.append(parsed.view)
-        marked |= {(name, c) for c in parsed.interface_complete}
-    spec = ViewSpec(src.name, tuple(views), src.formula, src.patterns,
-                    src.library, frozenset(marked), src.style, src.scope_hints)
-    return resolve(spec)
+        views.append(parse_view(_read(str(vpath)), name, str(vpath)))
+    return resolve(ViewSpec(src.name, tuple(views), src.formula, src.patterns,
+                            src.library, src.style, src.scope_hints))
 
 
 def _read(path: str) -> str:
@@ -81,9 +78,8 @@ def _read(path: str) -> str:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    engine = getattr(args, "solver", None) or os.environ.get("CNCSYNTH_SOLVER") or "internal"
-    limits = SolverLimits(conflicts=getattr(args, "conflicts", None),
-                          wall_seconds=getattr(args, "timeout", None))
+    engine = args.solver or os.environ.get("CNCSYNTH_SOLVER") or "internal"
+    limits = SolverLimits(conflicts=args.conflicts, wall_seconds=args.timeout)
     return SolverConfig(engine=engine, limits=limits)
 
 
@@ -92,9 +88,9 @@ def _scoped_spec(args: argparse.Namespace, spec: ResolvedSpec) -> ResolvedSpec:
     scope hints."""
     hints = spec.scope_hints
     override = ScopeHints(
-        ports=args.ports if getattr(args, "ports", None) is not None else hints.ports,
-        extra_names=args.extra_names if getattr(args, "extra_names", None) is not None else hints.extra_names,
-        extra_types=args.extra_types if getattr(args, "extra_types", None) is not None else hints.extra_types,
+        ports=args.ports if args.ports is not None else hints.ports,
+        extra_names=args.extra_names if args.extra_names is not None else hints.extra_names,
+        extra_types=args.extra_types if args.extra_types is not None else hints.extra_types,
     )
     return dataclasses.replace(spec, scope_hints=override)
 
@@ -124,7 +120,7 @@ def _port_clashes(spec: ResolvedSpec, payload: dict) -> list[str]:
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif human:
         print(human, end="" if human.endswith("\n") else "\n")
@@ -133,11 +129,9 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
 # --- Subcommands --------------------------------------------------------------
 
 def _styled_spec(args: argparse.Namespace, spec: ResolvedSpec) -> ResolvedSpec:
-    if not getattr(args, "style", None):
+    if not args.style:
         return spec
-    probe = parse_spec(f"spec _override {{ views {{ _V }} formula: _V; style {args.style}; }}",
-                       "<--style>")
-    style = probe.style
+    style = parse_style(args.style, "<--style>")
     for c in style.tops:
         if c not in spec.component_names:
             raise CliError(f"--style references unknown component {c!r}")
@@ -200,8 +194,7 @@ def _synth_enumerate(args: argparse.Namespace, spec: ResolvedSpec, config: Solve
 
 def cmd_check(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    parsed = parse_view_file(_read(args.view), Path(args.view).stem, args.view)
-    result = satisfies(model, parsed.view)
+    result = satisfies(model, parse_view(_read(args.view), Path(args.view).stem, args.view))
     payload = {"outcome": "pass" if result.satisfied else "fail",
                "violations": [str(v) for v in result.violations]}
     human = "pass" if result.satisfied else "fail\n" + "\n".join(f"  {v}" for v in result.violations)

@@ -37,7 +37,6 @@ from cncsynth.model import (
 from cncsynth.speclang import (
     And,
     Formula,
-    LibraryDecl,
     Not,
     Or,
     Pattern,
@@ -159,6 +158,10 @@ class _Parser:
     def fail(self, message: str, span: SourceSpan | None = None) -> None:
         raise DslError(message, span or self.cur.span)
 
+    def end(self) -> None:
+        if self.cur.kind != "eof":
+            self.fail(f"unexpected trailing input {self.cur.value!r}")
+
 
 # --- Component bodies (shared between models and views) ----------------------
 
@@ -232,6 +235,18 @@ def _parse_port(p: _Parser) -> _RawPort:
     return _RawPort(direction, ptype, name, span)
 
 
+def _parse_roots(p: _Parser, allow_stereotype: bool) -> tuple[list[_RawComponent], list[_RawConnect]]:
+    """The top-level components and connects of a model or view file."""
+    roots: list[_RawComponent] = []
+    connects: list[_RawConnect] = []
+    while p.cur.kind != "eof":
+        if p.at("connect"):
+            connects.append(_parse_connect(p))
+        else:
+            roots.append(_parse_component(p, connects, allow_stereotype))
+    return roots, connects
+
+
 def _parse_connect(p: _Parser) -> _RawConnect:
     span = p.expect("connect").span
     src_cmp = p.ident("component name").value
@@ -248,15 +263,7 @@ def _parse_connect(p: _Parser) -> _RawConnect:
 def parse_model(text: str, filename: str = "<model>") -> CncModel:
     """Parse a .cnc model file; the result is well-formed or parsing fails."""
     p = _Parser(text, filename)
-    connects: list[_RawConnect] = []
-    roots: list[_RawComponent] = []
-    while not p.at(""):
-        if p.cur.kind == "eof":
-            break
-        if p.at("connect"):
-            connects.append(_parse_connect(p))
-        else:
-            roots.append(_parse_component(p, connects, allow_stereotype=False))
+    roots, connects = _parse_roots(p, allow_stereotype=False)
     if not roots:
         p.fail("expected a component declaration")
 
@@ -300,7 +307,7 @@ def parse_model(text: str, filename: str = "<model>") -> CncModel:
         incoming.add(tgt)
         connectors.append(Connector(PortRef(rc.src_cmp, rc.src_port), tgt))
 
-    model = CncModel.build(list(components.values()), connectors)
+    model = CncModel(tuple(components.values()), tuple(connectors))
     violations = validate_model(model, allow_multiple_tops=len(roots) > 1)
     if violations:
         v = violations[0]
@@ -311,21 +318,9 @@ def parse_model(text: str, filename: str = "<model>") -> CncModel:
 
 # --- Views -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParsedView:
-    view: CncView
-    interface_complete: frozenset[str]  # component names marked in this file
-
-
-def parse_view_file(text: str, name: str = "view", filename: str = "<view>") -> ParsedView:
-    p = _Parser(text, filename)
-    connects: list[_RawConnect] = []
-    roots: list[_RawComponent] = []
-    while p.cur.kind != "eof":
-        if p.at("connect"):
-            connects.append(_parse_connect(p))
-        else:
-            roots.append(_parse_component(p, connects, allow_stereotype=True))
+def parse_view(text: str, name: str = "view", filename: str = "<view>") -> CncView:
+    """Parse a .cncview file, with its ``<<interface-complete>>`` marks."""
+    roots, connects = _parse_roots(_Parser(text, filename), allow_stereotype=True)
 
     # Views may mention a component in several places; merge the fragments.
     ports: dict[str, dict[str, _RawPort]] = {}
@@ -367,12 +362,7 @@ def parse_view_file(text: str, name: str = "view", filename: str = "<view>") -> 
                   frozenset(children[cname]))
         for cname in sorted(ports)
     ]
-    view = CncView.build(name, components, abs_connectors)
-    return ParsedView(view, frozenset(marked))
-
-
-def parse_view(text: str, name: str = "view", filename: str = "<view>") -> CncView:
-    return parse_view_file(text, name, filename).view
+    return CncView(name, tuple(components), tuple(abs_connectors), frozenset(marked))
 
 
 # --- Specifications ----------------------------------------------------------
@@ -385,7 +375,7 @@ class SpecSource:
     view_names: tuple[str, ...]
     formula: Formula
     patterns: tuple[Pattern, ...] = ()
-    library: tuple[LibraryDecl, ...] = ()
+    library: tuple[Component, ...] = ()
     style: StyleConfig = StyleConfig()
     scope_hints: ScopeHints = ScopeHints()
 
@@ -409,7 +399,7 @@ def parse_spec(text: str, filename: str = "<spec>") -> SpecSource:
     p.expect(";")
 
     patterns: list[Pattern] = []
-    library: list[LibraryDecl] = []
+    library: list[Component] = []
     style = StyleConfig()
     hints = ScopeHints()
     while not p.accept("}"):
@@ -429,8 +419,7 @@ def parse_spec(text: str, filename: str = "<spec>") -> SpecSource:
             hints = _parse_scope(p, hints)
         else:
             p.fail(f"expected patterns, library, style or scope block, found {p.cur.value!r}")
-    if p.cur.kind != "eof":
-        p.fail(f"unexpected trailing input {p.cur.value!r}")
+    p.end()
     return SpecSource(name, tuple(view_names), formula, tuple(patterns), tuple(library), style, hints)
 
 
@@ -488,17 +477,26 @@ def _parse_pattern(p: _Parser) -> Pattern:
     p.fail(f"unknown pattern {kind!r}", span)
 
 
-def _parse_libdecl(p: _Parser) -> LibraryDecl:
+def _parse_libdecl(p: _Parser) -> Component:
     p.expect("component")
     name = p.ident("component name").value
     p.expect("{")
-    interface = []
+    ports = []
     while not p.accept("}"):
         rp = _parse_port(p)
         if rp.type is None:
             raise DslError("library ports must have a concrete type", rp.span)
-        interface.append((rp.name, rp.direction, rp.type))
-    return LibraryDecl(name, tuple(interface))
+        ports.append(Port(rp.name, rp.direction, rp.type))
+    return Component(name, tuple(ports))
+
+
+def parse_style(text: str, filename: str = "<style>") -> StyleConfig:
+    """Parse a style as a spec's ``style`` clause writes it, without the
+    keyword and the closing ``;``, e.g. ``layered([A]; [B])``."""
+    p = _Parser(text, filename)
+    style = _parse_style(p, p.cur.span)
+    p.end()
+    return style
 
 
 def _parse_style(p: _Parser, span: SourceSpan) -> StyleConfig:
@@ -579,8 +577,9 @@ def print_model(m: CncModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def print_view(v: CncView, interface_complete: frozenset[str] = frozenset()) -> str:
-    """Render a view in the .cncview syntax (immediate-child nesting only)."""
+def print_view(v: CncView) -> str:
+    """Render a view in the .cncview syntax (immediate-child nesting only);
+    parse_view round-trips it."""
     parents: dict[str, str] = {}
     for c in v.components:
         for ch in c.subcomponents:
@@ -590,7 +589,7 @@ def print_view(v: CncView, interface_complete: frozenset[str] = frozenset()) -> 
     def emit(name: str, indent: int) -> None:
         pad = "  " * indent
         c = v.by_name[name]
-        stereo = "<<interface-complete>> " if name in interface_complete else ""
+        stereo = "<<interface-complete>> " if name in v.interface_complete else ""
         children = sorted(ch for ch in c.subcomponents if parents.get(ch) == name)
         if not c.ports and not children:
             lines.append(f"{pad}{stereo}component {name};")

@@ -543,7 +543,7 @@ class _Encoder:
 
     def _formula(self) -> None:
         self.begin("formula")
-        self.add(self._formula_lit(self.spec.expanded_formula))
+        self.add(self._formula_lit(self.spec.formula))
 
     # -- global constraints ----------------------------------------------------
 
@@ -749,4 +749,4 @@ def decode(enc: Encoding, assignment: dict[int, bool]) -> CncModel:
         if p != q and truth("conn", p, q)
     ]
     components = [Component(c, tuple(ports[c]), frozenset(children[c])) for c in existing]
-    return CncModel.build(components, connectors)
+    return CncModel(tuple(components), tuple(connectors))

@@ -106,6 +106,12 @@ def _index(components: tuple[Component, ...]) -> dict[str, Component]:
     return {c.name: c for c in components}
 
 
+def port_types(components: Iterable[Component]) -> frozenset[str]:
+    """The types that the ports of ``components`` give; an untyped port
+    gives none."""
+    return frozenset(p.type for c in components for p in c.ports if p.type is not None)
+
+
 @dataclass(frozen=True)
 class CncModel:
     """A complete C&C model.  Canonicalized on construction, so ``==`` is
@@ -113,19 +119,15 @@ class CncModel:
 
     components: tuple[Component, ...]
     connectors: tuple[Connector, ...] = ()
-    types: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(sorted(self.components, key=lambda c: c.name)))
         object.__setattr__(self, "connectors", tuple(sorted(set(self.connectors))))
-        object.__setattr__(self, "types", frozenset(self.types))
 
-    @staticmethod
-    def build(components: list[Component] | tuple[Component, ...],
-              connectors: list[Connector] | tuple[Connector, ...] = ()) -> "CncModel":
-        """Construct a model, deriving the type set from the ports."""
-        types = {p.type for c in components for p in c.ports if p.type is not None}
-        return CncModel(tuple(components), tuple(connectors), frozenset(types))
+    @cached_property
+    def types(self) -> frozenset[str]:
+        """The types of the ports."""
+        return port_types(self.components)
 
     @cached_property
     def by_name(self) -> dict[str, Component]:
@@ -170,25 +172,28 @@ class CncModel:
 
 @dataclass(frozen=True)
 class CncView:
-    """A partial C&C view.  Subcomponent edges mean transitive containment."""
+    """A partial C&C view.  Subcomponent edges mean transitive containment.
+    ``interface_complete`` names the components the view marks
+    ``<<interface-complete>>``: each has exactly the ports the view gives it."""
 
     name: str
     components: tuple[Component, ...]
     abs_connectors: tuple[AbstractConnector, ...] = ()
-    types: frozenset[str] = frozenset()
+    interface_complete: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(sorted(self.components, key=lambda c: c.name)))
         object.__setattr__(self, "abs_connectors", tuple(sorted(set(self.abs_connectors), key=_connector_key)))
-        object.__setattr__(self, "types", frozenset(self.types))
+        object.__setattr__(self, "interface_complete", frozenset(self.interface_complete))
+        unknown = sorted(self.interface_complete.difference(self.by_name))
+        if unknown:
+            raise ValueError(f"view {self.name!r} marks unknown component {unknown[0]!r} interface-complete")
 
-    @staticmethod
-    def build(name: str, components: list[Component] | tuple[Component, ...],
-              abs_connectors: list[AbstractConnector] | tuple[AbstractConnector, ...] = ()) -> "CncView":
-        types = {p.type for c in components for p in c.ports if p.type is not None}
-        for ac in abs_connectors:
-            types.update(t for t in (ac.src_type, ac.tgt_type) if t is not None)
-        return CncView(name, tuple(components), tuple(abs_connectors), frozenset(types))
+    @cached_property
+    def types(self) -> frozenset[str]:
+        """The types of the ports and of the abstract-connector ends."""
+        ends = {t for ac in self.abs_connectors for t in (ac.src_type, ac.tgt_type) if t is not None}
+        return port_types(self.components) | ends
 
     @cached_property
     def by_name(self) -> dict[str, Component]:
@@ -266,14 +271,12 @@ def validate_model(m: CncModel, allow_multiple_tops: bool = False) -> list[Viola
     if len(m.components) == 0:
         out.append(Violation("empty-model", "<model>", "model has no components"))
 
-    # Ports: complete attributes, unique names per component, declared types.
+    # Ports: a type each, unique names per component.
     for c in m.components:
         seen_ports: set[str] = set()
         for p in c.ports:
             if p.type is None:
                 out.append(Violation("unknown-type", f"{c.name}.{p.name}", "model port with unknown type"))
-            elif p.type not in m.types:
-                out.append(Violation("undeclared-type", f"{c.name}.{p.name}", f"type {p.type!r} not in the model type set"))
             if p.name in seen_ports:
                 out.append(Violation("duplicate-port", f"{c.name}.{p.name}", "port name reused within component"))
             seen_ports.add(p.name)

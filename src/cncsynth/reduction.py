@@ -58,8 +58,7 @@ def false_view(i: int) -> str:
 
 
 def _nesting_view(name: str, outer: str, inner: str) -> CncView:
-    return CncView.build(name, [Component(outer, subcomponents=frozenset({inner})),
-                                Component(inner)])
+    return CncView(name, (Component(outer, subcomponents=frozenset({inner})), Component(inner)))
 
 
 def reduce_3sat(f: Cnf3Formula) -> ViewSpec:
@@ -100,7 +99,7 @@ def witness_model(f: Cnf3Formula, assignment: dict[int, bool]) -> CncModel:
             order += [true_component(i), false_component(i)]
     components = [Component(name, subcomponents=frozenset({order[k + 1]} if k + 1 < len(order) else ()))
                   for k, name in enumerate(order)]
-    return CncModel.build(components)
+    return CncModel(tuple(components))
 
 
 def solve_3sat(f: Cnf3Formula, config: SolverConfig = SolverConfig()) -> dict[int, bool] | None:

@@ -30,7 +30,7 @@ import heapq
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -599,7 +599,9 @@ def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
     ``projection`` variables (all variables when None).  The final non-SAT
     result (UNSAT when the space is exhausted, or RESOURCE_LIMIT) is yielded
     last.  With the internal engine the search is incremental: learned
-    clauses and saved phases carry over between solutions."""
+    clauses and saved phases carry over between solutions.  Each result has
+    its own SolveStats: its counts are cumulative over the enumeration so
+    far, and its ``solve_seconds`` is that one call's time."""
     proj = sorted(set(projection)) if projection is not None else list(range(1, cnf.num_vars + 1))
     if not proj:
         raise ValueError("projection must not be empty")
@@ -624,7 +626,7 @@ def _answers(cnf: CnfInstance, cfg: SolverConfig, projection: list[int]) -> Iter
     while True:
         start = time.monotonic()
         result = solver.solve()
-        result.stats.solve_seconds = time.monotonic() - start
+        result.stats = replace(result.stats, solve_seconds=time.monotonic() - start)
         if result.status == SAT and not _satisfies(result.assignment, cnf.clauses, blocking):
             raise SolverError("solver returned an assignment that does not satisfy the formula")
         yield result

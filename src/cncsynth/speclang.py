@@ -1,5 +1,5 @@
 """Specification layer: Boolean formulas over views, patterns, library
-components, interface-complete markings, and architectural styles."""
+components, and architectural styles."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from cncsynth.model import CncView, Component, Direction, Port
+from cncsynth.model import CncView, Component, Direction, Port, port_types
 
 
 # --- Boolean formulas over view names ---------------------------------------
@@ -77,7 +77,7 @@ def format_formula(f: Formula) -> str:
     return op.join(parts) if parts else ("1" if isinstance(f, And) else "0")
 
 
-# --- Patterns, library declarations, styles ---------------------------------
+# --- Patterns and styles -----------------------------------------------------
 
 class PatternKind(Enum):
     ALT = "alt"
@@ -106,21 +106,6 @@ class Pattern:
             raise ValueError("nocomp names exactly one component")
         if self.negated_second and self.kind is not PatternKind.IMP:
             raise ValueError("only imp supports a negated second argument")
-
-
-@dataclass(frozen=True)
-class LibraryDecl:
-    """A black-box component with its complete interface."""
-
-    component: str
-    interface: tuple[tuple[str, Direction, str], ...]  # (port name, direction, type)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "interface", tuple(self.interface))
-
-    @property
-    def ports(self) -> tuple[Port, ...]:
-        return tuple(Port(n, d, t) for n, d, t in self.interface)
 
 
 class StyleKind(Enum):
@@ -178,12 +163,14 @@ class ScopeHints:
 
 @dataclass(frozen=True)
 class ViewSpec:
+    """A specification before resolution.  Each library entry is a black-box
+    component: a leaf with exactly its ports."""
+
     name: str
     views: tuple[CncView, ...]
     formula: Formula
     patterns: tuple[Pattern, ...] = ()
-    library: tuple[LibraryDecl, ...] = ()
-    interface_complete: frozenset[tuple[str, str]] = frozenset()  # (view, component)
+    library: tuple[Component, ...] = ()
     style: StyleConfig = StyleConfig()
     scope_hints: ScopeHints = ScopeHints()
 
@@ -191,11 +178,6 @@ class ViewSpec:
         object.__setattr__(self, "views", tuple(self.views))
         object.__setattr__(self, "patterns", tuple(self.patterns))
         object.__setattr__(self, "library", tuple(self.library))
-        object.__setattr__(self, "interface_complete", frozenset(self.interface_complete))
-
-    @property
-    def view_names(self) -> list[str]:
-        return [v.name for v in self.views]
 
 
 def nocomp_view_name(component: str) -> str:
@@ -208,7 +190,7 @@ def implicit_views(spec: ViewSpec) -> list[CncView]:
     for pat in spec.patterns:
         if pat.kind is PatternKind.NOCOMP:
             cmp = pat.args[0]
-            out.append(CncView.build(nocomp_view_name(cmp), [Component(cmp)]))
+            out.append(CncView(nocomp_view_name(cmp), (Component(cmp),)))
     return out
 
 
@@ -229,12 +211,6 @@ def _expand_one(pat: Pattern) -> Formula:
 
 def expand_patterns(spec: ViewSpec) -> Formula:
     """The spec formula conjoined with the expansion of every pattern."""
-    known = set(spec.view_names) | {v.name for v in implicit_views(spec)}
-    for pat in spec.patterns:
-        if pat.kind is not PatternKind.NOCOMP:
-            for v in pat.args:
-                if v not in known:
-                    raise SpecResolutionError([f"pattern {pat.kind.value} references unknown view {v!r}"])
     if not spec.patterns:
         return spec.formula
     return And([spec.formula, *(_expand_one(p) for p in spec.patterns)])
@@ -290,22 +266,20 @@ class SpecResolutionError(Exception):
 @dataclass(frozen=True)
 class ResolvedSpec:
     """A name-resolved specification: all views (including implicit NOCOMP
-    views) keyed by name, with the pattern-expanded formula."""
+    views) keyed by name, and ``formula``, the spec formula conjoined with
+    the expansion of every pattern."""
 
     name: str
     views: dict[str, CncView]
     formula: Formula
-    expanded_formula: Formula
-    patterns: tuple[Pattern, ...]
-    library: tuple[LibraryDecl, ...]
-    interface_complete: frozenset[tuple[str, str]]
+    library: tuple[Component, ...]
     style: StyleConfig
     scope_hints: ScopeHints
 
     @property
     def component_names(self) -> list[str]:
         names = {c.name for v in self.views.values() for c in v.components}
-        names.update(l.component for l in self.library)
+        names.update(l.name for l in self.library)
         names.update(self.style.tops)
         return sorted(names)
 
@@ -317,17 +291,18 @@ class ResolvedSpec:
         pairs = {(c.name, p.name) for v in views for c in v.components for p in c.ports}
         pairs.update((c, n) for v in views for ac in v.abs_connectors
                      for c, n in ((ac.src_cmp, ac.src_port), (ac.tgt_cmp, ac.tgt_port)) if n is not None)
-        pairs.update((d.component, p.name) for d in self.library for p in d.ports)
+        pairs.update((d.name, p.name) for d in self.library for p in d.ports)
         return frozenset(pairs)
 
     @cached_property
     def closed_interfaces(self) -> tuple[tuple[str, tuple[Port, ...], str | None], ...]:
         """``(component, ports, source)`` for each closed interface: each
-        library declaration (source None), then each interface-complete
-        marking (source: its view) in sorted order.  A present component has
-        exactly these ports."""
-        closed = [(d.component, d.ports, None) for d in self.library]
-        closed += [(c, self.views[v].by_name[c].ports, v) for v, c in sorted(self.interface_complete)]
+        library entry (source None), then each interface-complete mark
+        (source: its view), sorted by view and component.  A present
+        component has exactly these ports."""
+        closed = [(d.name, d.ports, None) for d in self.library]
+        marks = sorted((v.name, c) for v in self.views.values() for c in v.interface_complete)
+        closed += [(c, self.views[v].by_name[c].ports, v) for v, c in marks]
         return tuple(closed)
 
     @cached_property
@@ -342,7 +317,7 @@ class ResolvedSpec:
                     decls.setdefault((c.name, p.name), []).append((vname, p))
         for d in self.library:
             for p in d.ports:
-                decls.setdefault((d.component, p.name), []).append((None, p))
+                decls.setdefault((d.name, p.name), []).append((None, p))
         clashes = (PortClash(c, n, tuple(ds), tuple(src for cc, ports, src in self.closed_interfaces
                                                      if cc == c and all(p.name != n for p in ports)))
                    for (c, n), ds in sorted(decls.items()))
@@ -351,9 +326,7 @@ class ResolvedSpec:
     @cached_property
     def types(self) -> frozenset[str]:
         """The types the views and library interfaces declare."""
-        types = {t for v in self.views.values() for t in v.types}
-        types.update(p.type for d in self.library for p in d.ports)
-        return frozenset(types)
+        return port_types(self.library).union(*(v.types for v in self.views.values()))
 
 
 def resolve(spec: ViewSpec) -> ResolvedSpec:
@@ -378,27 +351,23 @@ def resolve(spec: ViewSpec) -> ResolvedSpec:
                 if v not in views:
                     errors.append(f"pattern {pat.kind.value} references unknown view {v!r}")
 
-    # A library component is a black box: no view may give it subcomponents.
+    # A library component is a black box: neither it nor a view may give it
+    # subcomponents.
     lib_names = set()
     for decl in spec.library:
-        if decl.component in lib_names:
-            errors.append(f"duplicate library declaration for {decl.component!r}")
-        lib_names.add(decl.component)
-        port_names = [n for n, _, _ in decl.interface]
+        if decl.name in lib_names:
+            errors.append(f"duplicate library declaration for {decl.name!r}")
+        lib_names.add(decl.name)
+        port_names = [p.name for p in decl.ports]
         if len(port_names) != len(set(port_names)):
-            errors.append(f"library component {decl.component!r} repeats a port name")
+            errors.append(f"library component {decl.name!r} repeats a port name")
+        if decl.subcomponents:
+            errors.append(f"library component {decl.name!r} has subcomponents")
         for v in spec.views:
-            cmp = v.by_name.get(decl.component)
+            cmp = v.by_name.get(decl.name)
             if cmp is not None and cmp.subcomponents:
                 errors.append(
-                    f"view {v.name!r} declares subcomponents for library component {decl.component!r}")
-
-    for vname, cname in sorted(spec.interface_complete):
-        v = views.get(vname)
-        if v is None:
-            errors.append(f"interface-complete marking references unknown view {vname!r}")
-        elif cname not in v.by_name:
-            errors.append(f"interface-complete marking references unknown component {cname!r} in view {vname!r}")
+                    f"view {v.name!r} declares subcomponents for library component {decl.name!r}")
 
     all_components = {c.name for v in views.values() for c in v.components} | lib_names
     for c in spec.style.tops:
@@ -410,11 +379,8 @@ def resolve(spec: ViewSpec) -> ResolvedSpec:
     return ResolvedSpec(
         name=spec.name,
         views=views,
-        formula=spec.formula,
-        expanded_formula=expand_patterns(spec),
-        patterns=spec.patterns,
+        formula=expand_patterns(spec),
         library=spec.library,
-        interface_complete=spec.interface_complete,
         style=spec.style,
         scope_hints=spec.scope_hints,
     )

@@ -30,7 +30,7 @@ from oracles import (
 
 from cncsynth.checker import evaluate_spec, satisfies
 from cncsynth.cli import load_spec
-from cncsynth.dsl import parse_model, parse_view, parse_view_file
+from cncsynth.dsl import parse_model, parse_view
 from cncsynth.encoder import decode, encode
 from cncsynth.model import (
     CncModel,
@@ -53,7 +53,7 @@ RUNS: list[tuple] = []
 
 
 def rj_view(name: str):
-    return parse_view_file((RJ / f"{name}.cncview").read_text(), name).view
+    return parse_view((RJ / f"{name}.cncview").read_text(), name)
 
 
 def enumerate_with_assignments(spec, limit=None, config=SolverConfig()):
@@ -134,10 +134,7 @@ def test_criterion_3_amplifier_dependent_structure():
 
     # Force each branch so neither implication is verified vacuously.
     def forced(view_name):
-        return dataclasses.replace(
-            spec,
-            formula=And((spec.formula, Var(view_name))),
-            expanded_formula=And((spec.expanded_formula, Var(view_name))))
+        return dataclasses.replace(spec, formula=And((spec.formula, Var(view_name))))
 
     r_in = synthesize(forced("BodySensorIn"))
     assert r_in.outcome is SynthOutcome.SAT
@@ -227,7 +224,7 @@ def _c7_models():
             subsets = itertools.chain([()], ((p,) for p in pairs),
                                       itertools.combinations(pairs, 2))
             for conns in subsets:
-                m = CncModel.build(comps, [Connector(s, t) for s, t in conns])
+                m = CncModel(comps, [Connector(s, t) for s, t in conns])
                 if not validate_model(m):
                     models.add(m)
     return models

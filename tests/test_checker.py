@@ -17,7 +17,6 @@ from cncsynth.cli import load_spec
 from cncsynth.dsl import parse_model, parse_view
 from cncsynth.model import CncModel, CncView, Component, Port, PortRef, Direction, contains_transitive
 from cncsynth.speclang import (
-    LibraryDecl,
     StyleConfig,
     StyleKind,
     Var,
@@ -123,17 +122,15 @@ def test_typed_endpoints_constrain_chains():
     from cncsynth.model import AbstractConnector, Component as C
     comps = [C("Joint", subcomponents=frozenset({"Body"})), C("Body")]
     # int-typed target: only Body.bin qualifies, and Joint.cmd reaches it.
-    ok = CncView.build("V", comps,
-                       [AbstractConnector("Joint", "Body", None, None, None, "int")])
+    ok = CncView("V", comps, [AbstractConnector("Joint", "Body", None, None, None, "int")])
     assert satisfies(MODEL, ok).satisfied
     # bool-typed target: no admissible port at all.
-    bad = CncView.build("V", comps,
-                        [AbstractConnector("Joint", "Body", None, None, None, "bool")])
+    bad = CncView("V", comps, [AbstractConnector("Joint", "Body", None, None, None, "bool")])
     assert kinds(satisfies(MODEL, bad)) == {"NO_CHAIN", "MISSING_TYPE"}
 
 
 def test_ill_formed_model_raises():
-    broken = CncModel.build(
+    broken = CncModel(
         [Component("A", (Port("p", Direction.IN, "t"),), frozenset({"Ghost"}))])
     v = parse_view("component A;", name="V")
     with pytest.raises(IllFormedModelError):
@@ -192,8 +189,8 @@ def test_evaluate_spec_formula_and_per_view():
 def test_evaluate_spec_library_violation():
     spec = resolve(ViewSpec(
         "s", (view_of("component Joint;", "V"),), Var("V"),
-        library=(LibraryDecl("Sensor", (("sin", Direction.IN, "float"),
-                                        ("extra", Direction.OUT, "int"))),)))
+        library=(Component("Sensor", (Port("sin", Direction.IN, "float"),
+                                      Port("extra", Direction.OUT, "int"))),)))
     res = evaluate_spec(MODEL, spec)
     assert res.formula_value
     assert not res.overall
@@ -203,20 +200,17 @@ def test_evaluate_spec_library_violation():
 def test_evaluate_spec_library_component_with_subcomponents():
     spec = resolve(ViewSpec(
         "s", (view_of("component Joint;", "V"),), Var("V"),
-        library=(LibraryDecl("Body", (("bin", Direction.IN, "int"),
-                                      ("bout", Direction.OUT, "float"))),)))
+        library=(Component("Body", (Port("bin", Direction.IN, "int"),
+                                    Port("bout", Direction.OUT, "float"))),)))
     res = evaluate_spec(MODEL, spec)
     assert [str(v) for v in res.constraint_violations] == ["Body: library component has subcomponents"]
 
 
 def test_evaluate_spec_interface_complete_violation():
-    from cncsynth.dsl import parse_view_file
-    parsed = parse_view_file("""
+    v = view_of("""
         <<interface-complete>> component Sensor { port in float sin; port in float extra; }
-    """, name="V")
-    spec = resolve(ViewSpec(
-        "s", (parsed.view,), Var("V"),
-        interface_complete=frozenset({("V", "Sensor")})))
+    """, "V")
+    spec = resolve(ViewSpec("s", (v,), Var("V")))
     res = evaluate_spec(MODEL, spec)
     assert any("interface-complete" in v.explanation for v in res.constraint_violations)
 

@@ -218,6 +218,18 @@ def test_synth_style_override():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("style,needle", [
+    ("bogus", "error: <--style>:1:1: unknown style 'bogus'"),
+    ("hierarchical; scope { ports = 0; } style hierarchical", "unexpected trailing input ';'"),
+])
+def test_synth_style_is_parsed_as_a_style_alone(style, needle):
+    # The flag's text is a style and nothing else: an error points into that
+    # text, and text after the style is an error, not dropped.
+    p = run("synth", SPEC, "--style", style)
+    assert p.returncode == 2
+    assert needle in p.stderr
+
+
 def test_synth_max_solutions_alias():
     p = run("synth", SPEC, "--max-solutions", "2", "--json")
     assert p.returncode == 0

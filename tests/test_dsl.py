@@ -11,7 +11,6 @@ from cncsynth.dsl import (
     parse_model,
     parse_spec,
     parse_view,
-    parse_view_file,
     print_model,
     print_view,
 )
@@ -123,11 +122,11 @@ def test_parse_view_sorts_connectors_with_and_without_ports():
 
 
 def test_parse_view_interface_complete_stereotype():
-    parsed = parse_view_file("""
+    v = parse_view("""
         <<interface-complete>> component Lib { port in int a; }
         component Other;
     """, name="V")
-    assert parsed.interface_complete == {"Lib"}
+    assert v.interface_complete == {"Lib"}
 
 
 def test_parse_view_rejects_conflicting_port_fragments():
@@ -175,7 +174,7 @@ def test_parse_spec_blocks():
     assert kinds == [PatternKind.IMP, PatternKind.ALT, PatternKind.XALT, PatternKind.NOCOMP]
     assert src.patterns[0].negated_second
     (lib,) = src.library
-    assert lib.component == "Box" and len(lib.interface) == 2
+    assert lib == Component("Box", (Port("i", Direction.IN, "int"), Port("o", Direction.OUT, "int")))
     assert src.style.kind is StyleKind.HIERARCHICAL
     assert (src.scope_hints.ports, src.scope_hints.extra_names, src.scope_hints.extra_types) == (7, 2, 1)
 
@@ -263,7 +262,7 @@ def models(draw) -> CncModel:
                   if legal(parent, sc, sp, tc, tp)]
     chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)) if candidates else []
     one_incoming = {c.tgt: c for c in reversed(chosen)}.values()
-    model = CncModel.build(components(names, parent, ports), list(one_incoming))
+    model = CncModel(components(names, parent, ports), list(one_incoming))
     assert validate_model(model, allow_multiple_tops=True) == []
     return model
 
@@ -284,7 +283,8 @@ def views(draw) -> CncView:
         sc, tc = draw(st.sampled_from(names)), draw(st.sampled_from(names))
         (sp, sp_type), (tp, tp_type) = end(sc), end(tc)
         connectors.append(AbstractConnector(sc, tc, sp, tp, sp_type, tp_type))
-    return CncView.build("V", components(names, parent, ports), connectors)
+    marked = draw(st.sets(st.sampled_from(names)))
+    return CncView("V", components(names, parent, ports), connectors, marked)
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,7 +21,7 @@ import pytest
 from conftest import FIXTURES
 from oracles import oracle_satisfies
 
-from cncsynth.dsl import parse_view_file
+from cncsynth.dsl import parse_view
 from cncsynth.encoder import (
     EncodingError,
     Scope,
@@ -40,15 +40,13 @@ from cncsynth.model import (
     validate_model,
 )
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
-from cncsynth.speclang import And, LibraryDecl, Or, ScopeHints, Var, ViewSpec, evaluate_formula, resolve
+from cncsynth.speclang import And, Or, ScopeHints, Var, ViewSpec, evaluate_formula, resolve
 from cncsynth.synth import SynthOutcome, enumerate_models, synthesize
 
 
 def spec_of(view_text: str, **kw):
-    """A one-view spec; ``<<interface-complete>>`` components are marked."""
-    parsed = parse_view_file(view_text, name="V")
-    marked = frozenset(("V", c) for c in parsed.interface_complete)
-    return resolve(ViewSpec("s", (parsed.view,), Var("V"), interface_complete=marked, **kw))
+    """A one-view spec of the view ``V`` parsed from ``view_text``."""
+    return resolve(ViewSpec("s", (parse_view(view_text, name="V"),), Var("V"), **kw))
 
 
 def test_compute_scope_defaults():
@@ -104,7 +102,7 @@ def test_scope_holds_connector_port_names():
 
 def test_compute_scope_includes_library_interface():
     spec = spec_of("component A;",
-                   library=(LibraryDecl("Lib", (("lp", Direction.IN, "bool"),)),))
+                   library=(Component("Lib", (Port("lp", Direction.IN, "bool"),)),))
     scope = compute_scope(spec)
     assert "Lib" in scope.components
     assert "lp" in scope.port_names and "bool" in scope.types
@@ -173,13 +171,13 @@ def all_scope_models(scope: Scope = SCOPE):
             pairs = [(s, t) for s in refs for t in refs if s != t]
             for k in range(len(pairs) + 1):
                 for conns in itertools.combinations(pairs, k):
-                    m = CncModel.build(comps, [Connector(s, t) for s, t in conns])
+                    m = CncModel(comps, [Connector(s, t) for s, t in conns])
                     if not validate_model(m):
                         models.add(m)
     return models
 
 
-LIB_B = (LibraryDecl("B", (("q", Direction.OUT, "t"),)),)
+LIB_B = (Component("B", (Port("q", Direction.OUT, "t"),)),)
 
 TINY_SPECS = [
     spec_of("component A { component B; }"),
@@ -217,12 +215,9 @@ def test_enumeration_completeness_with_abstract_connector():
 SCOPE2 = Scope(("A", "B"), 2, ("p", "q"), ("t", "u"))
 
 
-def views_of(*view_texts: str) -> tuple[tuple, frozenset]:
-    """Views V1, V2, ... parsed from ``view_texts``, and their
-    ``<<interface-complete>>`` markings."""
-    parsed = [parse_view_file(text, name=f"V{i}") for i, text in enumerate(view_texts, 1)]
-    marked = frozenset((f"V{i}", c) for i, pv in enumerate(parsed, 1) for c in pv.interface_complete)
-    return tuple(pv.view for pv in parsed), marked
+def views_of(*view_texts: str) -> tuple:
+    """Views V1, V2, ... parsed from ``view_texts``."""
+    return tuple(parse_view(text, name=f"V{i}") for i, text in enumerate(view_texts, 1))
 
 
 # Pairs of views whose port declarations disagree, or agree only when the
@@ -250,17 +245,17 @@ CLASH_PAIRS = {
     "crossed-direction": ("component A { port in t p; component B { port out t p; } }",
                           "component A { port out t p; component B { port in t p; } }"),
 }
-LIBRARIES = {"library-lacks": LIB_B, "library-type": LIB_B, "library-empty": (LibraryDecl("B", ()),)}
+LIBRARIES = {"library-lacks": LIB_B, "library-type": LIB_B, "library-empty": (Component("B"),)}
 AGREEING = {"untyped-agrees", "other-component"}
 
 
 def clash_specs():
     for name, texts in CLASH_PAIRS.items():
-        views, marked = views_of(*texts)
+        views = views_of(*texts)
         for op in (And, Or):
             formula = op([Var(v.name) for v in views])
             yield f"{name} {op.__name__}", resolve(ViewSpec(
-                "s", views, formula, library=LIBRARIES.get(name, ()), interface_complete=marked))
+                "s", views, formula, library=LIBRARIES.get(name, ())))
 
 
 @pytest.mark.parametrize("ports", [2, 0])
@@ -293,11 +288,10 @@ def test_port_identity_clauses_only_for_clashing_ports():
 
 
 def test_closed_interfaces_get_one_group_per_kind():
-    views, marked = views_of("<<interface-complete>> component A { port in t p; component B; component C; }",
-                             "<<interface-complete>> component D { port out t r; }")
-    library = (LibraryDecl("B", (("q", Direction.OUT, "t"),)), LibraryDecl("C", ()))
-    spec = resolve(ViewSpec("s", views, And([Var("V1"), Var("V2")]), library=library,
-                            interface_complete=marked))
+    views = views_of("<<interface-complete>> component A { port in t p; component B; component C; }",
+                     "<<interface-complete>> component D { port out t r; }")
+    library = (*LIB_B, Component("C"))
+    spec = resolve(ViewSpec("s", views, And([Var("V1"), Var("V2")]), library=library))
     groups = [(label, lo, hi) for label, lo, hi in encode(spec).cnf.groups
               if label in ("library", "interface-complete")]
     assert [label for label, _, _ in groups] == ["library", "interface-complete"]

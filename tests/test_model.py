@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cncsynth.model import (
+    AbstractConnector,
     CncModel,
     CncView,
     Component,
@@ -25,7 +26,7 @@ def mk(name, ports=(), subs=()):
 
 
 def well_formed_sample() -> CncModel:
-    return CncModel.build(
+    return CncModel(
         [
             mk("Top", [Port("tin", IN, "int")], {"A", "B"}),
             mk("A", [Port("ain", IN, "int"), Port("aout", OUT, "int")]),
@@ -38,13 +39,24 @@ def well_formed_sample() -> CncModel:
     )
 
 
-def test_build_collects_types_and_canonicalizes():
+def test_types_are_derived_and_construction_canonicalizes():
     m = well_formed_sample()
     assert m.types == {"int"}
     assert [c.name for c in m.components] == ["A", "B", "Top"]
     # structural equality after reordering
-    m2 = CncModel.build(list(reversed(m.components)), list(reversed(m.connectors)))
+    m2 = CncModel(tuple(reversed(m.components)), tuple(reversed(m.connectors)))
     assert m == m2
+    # A view's types also come from its abstract-connector ends; an untyped
+    # port gives none.
+    v = CncView("V", (mk("A", [Port("p", IN, None), Port("q", OUT, "int")]), mk("B")),
+                (AbstractConnector("A", "B", tgt_type="bool"),))
+    assert v.types == {"int", "bool"}
+
+
+def test_view_rejects_a_mark_on_an_unknown_component():
+    assert CncView("V", (mk("A"),), interface_complete={"A"}).interface_complete == {"A"}
+    with pytest.raises(ValueError, match="unknown component 'Ghost'"):
+        CncView("V", (mk("A"),), interface_complete={"Ghost"})
 
 
 def test_tops_and_parent_map():
@@ -59,7 +71,7 @@ def test_well_formed_model_has_no_violations():
 
 
 def test_contains_transitive():
-    m = CncModel.build([mk("A", subs={"B"}), mk("B", subs={"C"}), mk("C")])
+    m = CncModel([mk("A", subs={"B"}), mk("B", subs={"C"}), mk("C")])
     assert contains_transitive(m, "A", "B")
     assert contains_transitive(m, "A", "C")
     assert contains_transitive(m, "B", "C")
@@ -92,12 +104,12 @@ def test_contains_transitive():
     ],
 )
 def test_structural_violations(components, connectors, code):
-    m = CncModel.build(components, connectors)
+    m = CncModel(components, connectors)
     assert code in {v.code for v in validate_model(m)}
 
 
 def test_connector_type_mismatch():
-    m = CncModel.build(
+    m = CncModel(
         [mk("T", subs={"A", "B"}),
          mk("A", [Port("o", OUT, "int")]),
          mk("B", [Port("i", IN, "bool")])],
@@ -106,7 +118,7 @@ def test_connector_type_mismatch():
 
 
 def test_sibling_connector_must_be_out_to_in():
-    m = CncModel.build(
+    m = CncModel(
         [mk("T", subs={"A", "B"}),
          mk("A", [Port("i", IN, "t")]),
          mk("B", [Port("i", IN, "t")])],
@@ -115,7 +127,7 @@ def test_sibling_connector_must_be_out_to_in():
 
 
 def test_parent_to_child_must_be_in_to_in():
-    m = CncModel.build(
+    m = CncModel(
         [mk("T", [Port("o", OUT, "t")], {"A"}),
          mk("A", [Port("i", IN, "t")])],
         [Connector(PortRef("T", "o"), PortRef("A", "i"))])
@@ -123,7 +135,7 @@ def test_parent_to_child_must_be_in_to_in():
 
 
 def test_child_to_parent_must_be_out_to_out():
-    m = CncModel.build(
+    m = CncModel(
         [mk("T", [Port("o", OUT, "t")], {"A"}),
          mk("A", [Port("i", IN, "t")])],
         [Connector(PortRef("A", "i"), PortRef("T", "o"))])
@@ -132,13 +144,13 @@ def test_child_to_parent_must_be_out_to_out():
 
 def test_connector_locality():
     # A and C are neither siblings nor parent/child: grandparent link.
-    m = CncModel.build(
+    m = CncModel(
         [mk("T", subs={"A"}),
          mk("A", [Port("o", OUT, "t")], {"C"}),
          mk("C", [Port("i", IN, "t")], set()),
          ],
         [])
-    m = CncModel.build(
+    m = CncModel(
         [mk("T", [Port("o", OUT, "t")], {"A"}),
          mk("A", subs={"C"}),
          mk("C", [Port("i", IN, "t")])],
@@ -147,14 +159,14 @@ def test_connector_locality():
 
 
 def test_self_connector_rejected():
-    m = CncModel.build(
+    m = CncModel(
         [mk("A", [Port("i", IN, "t"), Port("o", OUT, "t")])],
         [Connector(PortRef("A", "o"), PortRef("A", "i"))])
     assert "self-connector" in {v.code for v in validate_model(m)}
 
 
 def test_at_most_one_incoming_connector():
-    m = CncModel.build(
+    m = CncModel(
         [mk("T", subs={"A", "B", "C"}),
          mk("A", [Port("o", OUT, "t")]),
          mk("B", [Port("o", OUT, "t")]),
@@ -165,19 +177,19 @@ def test_at_most_one_incoming_connector():
 
 
 def test_unknown_connector_endpoint():
-    m = CncModel.build(
+    m = CncModel(
         [mk("A", [Port("o", OUT, "t")])],
         [Connector(PortRef("A", "o"), PortRef("A", "ghost"))])
     assert "unknown-port" in {v.code for v in validate_model(m)}
 
 
 def test_multiple_tops_allowed_when_requested():
-    m = CncModel.build([mk("A"), mk("B")])
+    m = CncModel([mk("A"), mk("B")])
     assert validate_model(m, allow_multiple_tops=True) == []
 
 
 def test_view_contains_is_transitive():
-    v = CncView.build("V", [mk("A", subs={"B"}), mk("B", subs={"C"}), mk("C")])
+    v = CncView("V", [mk("A", subs={"B"}), mk("B", subs={"C"}), mk("C")])
     assert ("A", "C") in v.contains
     assert ("C", "A") not in v.contains
 

@@ -254,6 +254,19 @@ def test_solve_seconds_set_on_unsat_and_resource_limit():
     assert limited.status == RESOURCE_LIMIT and limited.stats.solve_seconds > 0
 
 
+def test_each_enumerated_answer_keeps_its_own_stats():
+    # The counts are cumulative over the enumeration and solve_seconds is per
+    # call: a later call must not change the stats of an answer already given.
+    results, snapshots = [], []
+    for r in iter_assignments(CnfInstance(3, ((1, 2, 3),))):
+        results.append(r)
+        snapshots.append(dataclasses.astuple(r.stats))
+    assert [r.status for r in results] == [SAT] * 7 + [UNSAT]
+    assert [dataclasses.astuple(r.stats) for r in results] == snapshots
+    decisions = [r.stats.decisions for r in results]
+    assert decisions == sorted(decisions) and decisions[0] < decisions[-1]
+
+
 def test_clause_loading_normalizes_clauses():
     # Repeated literals are merged, tautologies dropped, and a clause that
     # shrinks to a unit or is empty is handled as such.

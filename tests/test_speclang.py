@@ -7,7 +7,6 @@ import pytest
 from cncsynth.model import CncView, Component, Direction, Port
 from cncsynth.speclang import (
     And,
-    LibraryDecl,
     Not,
     Or,
     Pattern,
@@ -29,7 +28,7 @@ from cncsynth.speclang import (
 
 
 def view(name: str) -> CncView:
-    return CncView.build(name, [Component("C" + name)])
+    return CncView(name, [Component("C" + name)])
 
 
 def spec_with(patterns=(), **kw) -> ViewSpec:
@@ -104,12 +103,11 @@ def test_resolve_success_includes_implicit_views():
         (lambda s: ViewSpec("s", s.views, Var("A"),
                             patterns=(Pattern(PatternKind.IMP, ("A", "Zed")),)), "unknown view"),
         (lambda s: ViewSpec("s", s.views, Var("A"),
-                            interface_complete=frozenset({("A", "Ghost")})), "unknown component"),
-        (lambda s: ViewSpec("s", s.views, Var("A"),
-                            interface_complete=frozenset({("Zed", "CA")})), "unknown view"),
-        (lambda s: ViewSpec("s", s.views, Var("A"),
                             style=StyleConfig(StyleKind.CLIENT_SERVER, server="Ghost",
                                               clients=("CA",))), "unknown component"),
+        (lambda s: ViewSpec("s", s.views, Var("A"),
+                            style=StyleConfig(StyleKind.LAYERED, layers=(("CA",), ("Ghost",)))),
+         "unknown component"),
     ],
 )
 def test_resolve_errors(mutate, needle):
@@ -119,19 +117,22 @@ def test_resolve_errors(mutate, needle):
 
 
 def test_resolve_rejects_library_component_with_subcomponents():
-    v = CncView.build("V", [Component("Lib", subcomponents=frozenset({"Inner"})),
-                            Component("Inner")])
-    s = ViewSpec("s", (v,), Var("V"),
-                 library=(LibraryDecl("Lib", (("p", Direction.IN, "t"),)),))
+    v = CncView("V", [Component("Lib", subcomponents=frozenset({"Inner"})), Component("Inner")])
+    s = ViewSpec("s", (v,), Var("V"), library=(Component("Lib", (Port("p", Direction.IN, "t"),)),))
     with pytest.raises(SpecResolutionError) as err:
         resolve(s)
     assert "library" in str(err.value)
 
 
+def test_resolve_rejects_a_library_entry_with_subcomponents():
+    lib = Component("Lib", (Port("p", Direction.IN, "t"),), frozenset({"Inner"}))
+    with pytest.raises(SpecResolutionError, match="library component 'Lib' has subcomponents"):
+        resolve(ViewSpec("s", (view("A"),), Var("A"), library=(lib,)))
+
+
 def test_resolve_rejects_duplicate_library_port_names():
     s = ViewSpec("s", (view("A"),), Var("A"),
-                 library=(LibraryDecl("Lib", (("p", Direction.IN, "t"),
-                                              ("p", Direction.OUT, "t"))),))
+                 library=(Component("Lib", (Port("p", Direction.IN, "t"), Port("p", Direction.OUT, "t"))),))
     with pytest.raises(SpecResolutionError):
         resolve(s)
 
@@ -158,12 +159,11 @@ def test_port_clashes_name_every_declaration_and_closed_interface():
         return Component(name, tuple(Port(n, d, t) for n, d, t in ports))
 
     IN, OUT = Direction.IN, Direction.OUT
-    views = (CncView.build("V1", [comp("A", ("x", IN, "int"), ("y", IN, "int"), ("z", IN, None))]),
-             CncView.build("V2", [comp("A", ("x", OUT, "float"), ("y", IN, None), ("z", IN, None)),
-                                  comp("L", ("w", IN, "int"))]),
-             CncView.build("V3", [comp("A", ("x", IN, None), ("y", IN, "int"))]))
-    spec = resolve(ViewSpec("s", views, Var("V1"), interface_complete={("V3", "A"), ("V2", "L")},
-                            library=(LibraryDecl("L", (("v", Direction.IN, "int"),)),)))
+    views = (CncView("V1", [comp("A", ("x", IN, "int"), ("y", IN, "int"), ("z", IN, None))]),
+             CncView("V2", [comp("A", ("x", OUT, "float"), ("y", IN, None), ("z", IN, None)),
+                            comp("L", ("w", IN, "int"))], interface_complete={"L"}),
+             CncView("V3", [comp("A", ("x", IN, None), ("y", IN, "int"))], interface_complete={"A"}))
+    spec = resolve(ViewSpec("s", views, Var("V1"), library=(comp("L", ("v", IN, "int")),)))
     # A.y's untyped declaration agrees with every type; only A.z is missing
     # from the interface that V3 marks complete.
     assert [str(c) for c in spec.port_clashes] == [
