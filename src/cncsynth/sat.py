@@ -12,9 +12,13 @@ loader, ``_Cdcl.add_clauses``, and every clause that the trail falsifies,
 learnt or blocking, through one assertion path, ``_Cdcl._learn``.  An
 external solver, ``_External``, takes clauses through the same interface.
 ``solve`` and ``iter_assignments`` share one loop, ``_answers``, for both
-engines; it checks every SAT answer against every clause (original and
-blocking) before returning it, and its one deadline bounds the whole loop,
-every solve call included.
+engines, and its one deadline bounds the whole loop, every solve call
+included.  It checks every SAT answer before returning it, as strictly as
+a test of every clause, original and blocking, but at the cost of what the
+answer changed: the first answer is tested on every clause of the formula,
+each later one only on the clauses that hold a variable whose value it
+changed, and an answer breaks a blocking clause exactly when it builds the
+same clause, so that test is one set lookup.
 
 Enumeration is incremental with the internal engine.  As in all-solutions
 solvers (Toda & Soh, ACM JEA 2016; Gebser, Kaufmann & Schaub, CPAIOR
@@ -94,20 +98,66 @@ class SolverError(Exception):
 def check_assignment(cnf: CnfInstance, assignment: dict[int, bool]) -> bool:
     """True if ``assignment`` satisfies every clause of ``cnf``; a variable
     it leaves out reads False."""
-    return _satisfies(assignment, cnf.clauses)
+    return _satisfies(_literals(assignment), cnf.clauses)
 
 
-def _satisfies(assignment: dict[int, bool], *clause_lists) -> bool:
-    """True if ``assignment`` satisfies every clause in ``clause_lists``.
-    Each clause is tested against the set of true literals at C speed; only
-    a clause with none of them falls back to looking for a negative literal
-    on a variable the assignment leaves out."""
-    disjoint = {v if b else -v for v, b in assignment.items()}.isdisjoint
-    for clauses in clause_lists:
-        for clause in filter(disjoint, clauses):
-            if not any(l < 0 and -l not in assignment for l in clause):
-                return False
+def _literals(assignment: dict[int, bool]) -> set[int]:
+    """The literals that ``assignment`` makes true, of the variables it sets."""
+    return {v if b else -v for v, b in assignment.items()}
+
+
+def _satisfies(lits: set[int], clauses) -> bool:
+    """True if every clause in ``clauses`` holds under the assignment whose
+    true literals are ``lits``; a variable with neither literal in ``lits``
+    reads False.  Each clause is tested against ``lits`` at C speed; only a
+    clause with none of them falls back to looking for a negative literal on
+    a variable left out."""
+    for clause in filter(lits.isdisjoint, clauses):
+        if not any(l < 0 and -l not in lits for l in clause):
+            return False
     return True
+
+
+class _FormulaCheck:
+    """Tells whether each of a sequence of answers satisfies ``clauses``, at
+    the cost of what the answer changed.  The first answer is tested on
+    every clause.  A later one is tested only on the clauses that hold a
+    variable whose value differs from the last answer that passed (a
+    variable an answer leaves out reads False): every other clause has the
+    value it had under that answer, which satisfied it.  A variable is true
+    exactly when its positive literal is among the answer's true literals,
+    so the changed variables are the positive literals in the symmetric
+    difference of the two answers' true literals.  The record of the last
+    answer is the check's own set, so a caller who edits an answer's dict
+    cannot weaken the check.  The occurrence index is built for the second
+    answer, so a single answer costs a plain test of every clause."""
+
+    def __init__(self, clauses: tuple[tuple[int, ...], ...]):
+        self.clauses = clauses
+        self.last: set[int] | None = None
+        self.occurs: dict[int, list[int]] | None = None
+
+    def passes(self, lits: set[int]) -> bool:
+        """Test the answer with true literals ``lits``; keep it as the last
+        answer if it passes."""
+        if self.last is None:
+            clauses = self.clauses
+        else:
+            if self.occurs is None:
+                self.occurs = {}
+                for i, c in enumerate(self.clauses):
+                    for l in c:
+                        self.occurs.setdefault(abs(l), []).append(i)
+            occurs = self.occurs
+            touched: set[int] = set()
+            for v in lits ^ self.last:
+                if v > 0:
+                    touched.update(occurs.get(v, ()))
+            clauses = [self.clauses[i] for i in touched]
+        if not _satisfies(lits, clauses):
+            return False
+        self.last = lits
+        return True
 
 
 # --- Internal CDCL solver ----------------------------------------------------
@@ -127,10 +177,13 @@ class _Cdcl:
     The order heap holds ``(-activity, var)`` entries.  ``in_heap[v]`` is set
     while the heap holds an entry for ``v`` at its current activity: it is
     set on push and cleared when ``analyze`` bumps ``v`` or the decision
-    step pops that entry.  ``solve`` rebuilds the heap with one entry per
-    unassigned variable, and from then on every unassigned variable keeps
-    such an entry: backtracking pushes only the variables whose flag is
-    clear, and an entry at an older activity is dropped when popped.
+    step pops that entry.  Each cold segment of ``solve`` rebuilds the heap
+    with one entry per unassigned variable, and from then on every
+    unassigned variable keeps such an entry: backtracking pushes only the
+    variables whose flag is clear, and an entry at an older activity is
+    dropped when popped.  So a warm resume needs no rebuild: the SAT answer
+    emptied the heap, and the backjump of ``add_blocking_clause`` pushed
+    each variable it unassigned.
 
     The formula's clauses enter through ``add_clauses`` before the first
     solve.  A clause that the trail falsifies, a learnt clause or a blocking
@@ -523,7 +576,7 @@ class _Cdcl:
                 self.var_inc = 1.0
                 self.activity = [0.0] * (self.nv + 1)
                 self.phase = [polarity] * (self.nv + 1)
-            self._rebuild_heap()
+                self._rebuild_heap()
             result = self._search(self.stats.conflicts + budget)
             if result is not None:
                 self.warm_start = result.status == SAT
@@ -554,8 +607,7 @@ class _Cdcl:
                 lim = self.limits
                 if lim.conflicts is not None and self.stats.conflicts >= lim.conflicts:
                     return SolveResult(RESOURCE_LIMIT, stats=self.stats)
-                if deadline is not None and self.stats.conflicts % 128 == 0 \
-                        and time.monotonic() > deadline:
+                if deadline is not None and time.monotonic() > deadline:
                     return SolveResult(RESOURCE_LIMIT, stats=self.stats)
                 if self.stats.conflicts >= segment_limit:
                     return None
@@ -571,7 +623,7 @@ class _Cdcl:
             v = self._pick_branch_var()
             if v == 0:
                 nv = self.nv
-                model = {u: self.val[u + nv] == 1 for u in range(1, nv + 1)}
+                model = dict(zip(range(1, nv + 1), map((1).__eq__, self.val[nv + 1:])))
                 return SolveResult(SAT, model, self.stats)
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
@@ -601,7 +653,11 @@ def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
     last.  With the internal engine the search is incremental: learned
     clauses and saved phases carry over between solutions.  Each result has
     its own SolveStats: its counts are cumulative over the enumeration so
-    far, and its ``solve_seconds`` is that one call's time."""
+    far, and its ``solve_seconds`` is that one call's time.  Every SAT
+    result is checked before it is yielded: the first on every clause of
+    the formula, each later one on the clauses that hold a variable whose
+    value it changed, and on the projection against every earlier answer;
+    a failed check raises SolverError."""
     proj = sorted(set(projection)) if projection is not None else list(range(1, cnf.num_vars + 1))
     if not proj:
         raise ValueError("projection must not be empty")
@@ -613,27 +669,37 @@ def _answers(cnf: CnfInstance, cfg: SolverConfig, projection: list[int]) -> Iter
     once a clause blocking it on ``projection`` joins the solver; the first
     non-SAT answer is the last.  The internal engine takes each blocking
     clause into the live search; an external one solves every clause afresh.
-    Every SAT answer is checked against the formula and the blocking
-    clauses; a variable it leaves out reads False, here and in the blocking
-    clause.  ``cfg.limits.wall_seconds`` bounds the whole loop: each call
+    Every SAT answer is checked against the formula (by ``_FormulaCheck``)
+    and the blocking clauses, as strictly as a test of every clause; a
+    variable it leaves out reads False, here and in the blocking clause.
+    An answer breaks a blocking clause only if it builds the same clause,
+    so the blocking clauses are a set and that check is one lookup.  Both
+    checks and the answer's blocking clause read the answer before it is
+    yielded.  ``cfg.limits.wall_seconds`` bounds the whole loop: each call
     gets the time that is left."""
     wall = cfg.limits.wall_seconds
     deadline = None if wall is None else time.monotonic() + wall
     solver = (_Cdcl(cnf.num_vars, cfg.limits, deadline) if cfg.engine == "internal"
               else _External(cfg.engine, cnf.num_vars, deadline))
     solver.add_clauses(cnf.clauses)
-    blocking: list[tuple[int, ...]] = []
+    formula = _FormulaCheck(cnf.clauses)
+    blocking: set[tuple[int, ...]] = set()
     while True:
         start = time.monotonic()
         result = solver.solve()
         result.stats = replace(result.stats, solve_seconds=time.monotonic() - start)
-        if result.status == SAT and not _satisfies(result.assignment, cnf.clauses, blocking):
-            raise SolverError("solver returned an assignment that does not satisfy the formula")
+        if result.status == SAT:
+            lits = _literals(result.assignment)
+            if not formula.passes(lits):
+                raise SolverError("solver returned an assignment that does not satisfy the formula")
+            clause = tuple(-v if v in lits else v for v in projection)
+            if clause in blocking:
+                raise SolverError("solver returned an assignment that repeats an earlier "
+                                  "answer on the projection")
         yield result
         if result.status != SAT:
             return
-        clause = tuple(-v if result.assignment.get(v, False) else v for v in projection)
-        blocking.append(clause)
+        blocking.add(clause)
         solver.add_blocking_clause(clause)
 
 

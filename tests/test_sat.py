@@ -307,7 +307,7 @@ def test_iter_assignments_rejects_a_model_that_breaks_a_blocking_clause(monkeypa
     monkeypatch.setattr(sat._Cdcl, "solve", replay)
     steps = iter_assignments(CnfInstance(2, ((1, 2),)))
     assert next(steps).status == SAT
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="repeats an earlier answer on the projection"):
         next(steps)
 
 
@@ -321,8 +321,109 @@ def test_solve_rejects_a_model_that_breaks_a_formula_clause(monkeypatch):
         return result
 
     monkeypatch.setattr(sat._Cdcl, "solve", flip)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="does not satisfy the formula"):
         solve(CnfInstance(2, ((1,), (1, 2, -1))))
+
+
+def replace_answer(monkeypatch, call: int, edit) -> None:
+    """Make the internal engine's ``call``-th solve (1-based) return its
+    answer as ``edit`` leaves it."""
+    real_solve = sat._Cdcl.solve
+    calls = []
+
+    def patched(self):
+        result = real_solve(self)
+        calls.append(result)
+        if len(calls) == call:
+            edit(result.assignment)
+        return result
+
+    monkeypatch.setattr(sat._Cdcl, "solve", patched)
+
+
+@pytest.mark.parametrize("edit", [lambda a: a.update({3: False}), lambda a: a.pop(3)],
+                         ids=["set-false", "left-out"])
+def test_a_later_answer_that_breaks_a_clause_through_a_changed_variable_is_rejected(monkeypatch, edit):
+    # Every model sets x3; the second answer clears it, or leaves it out,
+    # which reads False: only the unit clause (3,) breaks, and only through x3.
+    replace_answer(monkeypatch, 2, edit)
+    steps = iter_assignments(CnfInstance(3, ((1, 2), (3,))))
+    assert next(steps).assignment[3] is True
+    with pytest.raises(SolverError, match="does not satisfy the formula"):
+        next(steps)
+
+
+def test_editing_a_yielded_answer_hides_no_later_violation(monkeypatch):
+    # The caller clears x1 in the first answer.  The second answer clears x1
+    # too, breaking (1,): the check must compare it with the answer the
+    # solver gave, not with the edited dict.
+    replace_answer(monkeypatch, 2, lambda a: a.update({1: False}))
+    steps = iter_assignments(CnfInstance(2, ((1,),)))
+    next(steps).assignment[1] = False
+    with pytest.raises(SolverError, match="does not satisfy the formula"):
+        next(steps)
+
+
+def test_editing_a_yielded_answer_hides_no_repeat(monkeypatch):
+    # The caller flips x2 in the first answer, and the solver then repeats
+    # that first answer: the repeat must still be caught.
+    first: dict[int, bool] = {}
+    replace_answer(monkeypatch, 2, lambda a: (a.clear(), a.update(first)))
+    steps = iter_assignments(CnfInstance(2, ((1,),)))
+    answer = next(steps).assignment
+    first.update(answer)
+    answer[2] = not answer[2]
+    with pytest.raises(SolverError, match="repeats an earlier answer on the projection"):
+        next(steps)
+
+
+@st.composite
+def cnf_and_answers(draw) -> tuple[CnfInstance, list[dict[int, bool]]]:
+    """A CNF and a sequence of answers over its variables: models and
+    arbitrary assignments, each with some variables left out."""
+    cnf, _ = draw(cnf_and_projection(max_vars=6, max_clauses=12))
+    n = cnf.num_vars
+    models = [bits for bits in itertools.product((False, True), repeat=n)
+              if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in cnf.clauses)]
+    bits = st.tuples(*[st.booleans()] * n)
+    if models:
+        bits = st.sampled_from(models) | bits
+    answer = st.tuples(bits, st.sets(st.integers(1, n), max_size=2)).map(
+        lambda t: {v: t[0][v - 1] for v in range(1, n + 1) if v not in t[1]})
+    return cnf, draw(st.lists(answer, min_size=1, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnf_and_answers())
+def test_formula_check_matches_a_full_check_on_every_answer(case):
+    # A failed answer is not kept, so the next one is compared with the last
+    # answer that passed.
+    cnf, answers = case
+    check = sat._FormulaCheck(cnf.clauses)
+    for a in answers:
+        expected = check_assignment(cnf, a)
+        assert expected == all(any((l > 0) == a.get(abs(l), False) for l in c) for c in cnf.clauses)
+        assert check.passes(sat._literals(a)) == expected
+
+
+def test_later_lander_answers_are_checked_on_few_clauses(monkeypatch):
+    # The first answer is checked on all 2,308 clauses; the next 249 on the
+    # clauses that hold a variable they changed, under a tenth of 249 full
+    # checks in all.
+    handed = []
+    real = sat._satisfies
+
+    def counting(lits, clauses):
+        clauses = list(clauses)
+        handed.append(len(clauses))
+        return real(lits, clauses)
+
+    monkeypatch.setattr(sat, "_satisfies", counting)
+    enc = encode(load_spec(str(LANDER / "Lander.cncspec")))
+    steps = iter_assignments(enc.cnf, projection=list(enc.structural_vars))
+    assert all(next(steps).status == SAT for _ in range(250))
+    assert len(enc.cnf.clauses) == 2308 and handed[0] == 2308 and len(handed) == 250
+    assert sum(handed[1:]) < 0.1 * 249 * 2308
 
 
 # --- one deadline for a whole enumeration -----------------------------------------
@@ -345,6 +446,21 @@ def test_deadline_bounds_a_whole_enumeration(monkeypatch):
         statuses.append(r.status)
         clock.now += 0.4  # each model takes 0.4 s; the fourth solve starts past the deadline
     assert statuses == [SAT, SAT, SAT, RESOURCE_LIMIT]
+
+
+def test_deadline_is_read_at_every_conflict(monkeypatch):
+    # A clock that moves 1 s on every reading passes the 2.5 s deadline at
+    # the first conflict, long before the search would refute the formula.
+    class TickingClock:
+        now = 0.0
+
+        def monotonic(self):
+            self.now += 1.0
+            return self.now
+
+    monkeypatch.setattr(sat, "time", TickingClock())
+    result = solve(pigeonhole(4, 3), SolverConfig(limits=SolverLimits(wall_seconds=2.5)))
+    assert result.status == RESOURCE_LIMIT and result.stats.conflicts == 1
 
 
 def test_external_calls_get_the_time_that_is_left(monkeypatch):
