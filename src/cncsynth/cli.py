@@ -249,7 +249,7 @@ def cmd_reduce3sat(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
     lits = [i if assignment[i] else -i for i in sorted(assignment)]
     _emit(args, {"outcome": "sat", "assignment": lits},
-          "s SATISFIABLE\nv " + " ".join(str(l) for l in lits) + " 0")
+          "s SATISFIABLE\nv " + " ".join(map(str, [*lits, 0])))
     return EXIT_OK
 
 

@@ -188,6 +188,14 @@ def test_reduce3sat_sat(tmp_path):
     assert {abs(l) for l in lits} == {1, 2}
 
 
+def test_reduce3sat_without_variables_prints_one_terminator(tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 0 0\n")
+    p = run("reduce3sat", str(cnf))
+    assert p.returncode == 0
+    assert p.stdout.splitlines() == ["s SATISFIABLE", "v 0"]
+
+
 def test_reduce3sat_unsat(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")

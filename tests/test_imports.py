@@ -93,3 +93,48 @@ def test_unreferenced_private_functions_finds_a_dead_helper():
     a = "def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass K:\n    def _gone(self):\n        pass\n    def __init__(self):\n        pass\n"
     b = "from a import _used\n_used()\n"
     assert unreferenced_private_functions({"a.py": a, "b.py": b}) == ["a.py:4 _dead", "a.py:8 _gone"]
+
+
+GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def gc_switches_outside(sources: dict[str, str], helper: tuple[str, str]) -> list[str]:
+    """Uses of ``gc.disable``, ``gc.enable``, ``gc.freeze`` and
+    ``gc.set_threshold`` (through ``import gc``, an alias of it, or
+    ``from gc import``) anywhere but in the function ``helper`` names as
+    ``(module, function)``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   for a in n.names if a.name == "gc"}
+        allowed = {id(c) for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and (module, n.name) == helper
+                   for c in ast.walk(n)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                names = [a.name for a in node.names if a.name in GC_SWITCHES or a.name == "*"]
+            elif (isinstance(node, ast.Attribute) and node.attr in GC_SWITCHES
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                names = [node.attr]
+            else:
+                continue
+            found += [(module, node.lineno, name) for name in names]
+    return [f"{module}:{line} gc.{name}" for module, line, name in sorted(found)]
+
+
+def test_only_the_pause_helper_switches_gc():
+    # A second path that turns the collector off could leave it off in the
+    # host program; synth._gc_paused restores the caller's setting.
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert gc_switches_outside(sources, ("synth.py", "_gc_paused")) == []
+
+
+def test_gc_switches_outside_finds_a_second_path():
+    a = ("import gc\nimport gc as g\n\ndef _pause():\n    gc.disable()\n    gc.enable()\n\n"
+         "def solve():\n    gc.isenabled()\n    g.freeze()\n    f = gc.set_threshold\n")
+    b = "from gc import collect, disable\n\ndef _pause():\n    disable()\n"
+    assert gc_switches_outside({"a.py": a, "b.py": b}, ("a.py", "_pause")) == [
+        "a.py:10 gc.freeze", "a.py:11 gc.set_threshold", "b.py:1 gc.disable"]

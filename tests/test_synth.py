@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from conftest import LANDER
+from conftest import LANDER, RJ
 
-from cncsynth import sat
+from cncsynth import sat, synth
 from cncsynth.cli import load_spec
 from cncsynth.dsl import parse_view
+from cncsynth.encoder import EncodingError, Scope
 from cncsynth.model import contains_transitive
 from cncsynth.sat import SolverConfig, SolverLimits
 from cncsynth.speclang import And, Not, ScopeHints, Var, ViewSpec, resolve
@@ -137,3 +140,44 @@ def test_synthesized_models_are_deterministic():
     a = synthesize(spec).model
     b = synthesize(spec).model
     assert a == b
+
+
+@pytest.fixture
+def restore_gc():
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("path,outcome", [(LANDER / "Lander.cncspec", SynthOutcome.SAT),
+                                          (RJ / "S2NoNest.cncspec", SynthOutcome.UNSAT)],
+                         ids=["Lander", "S2NoNest"])
+def test_synthesize_leaves_the_callers_gc_setting(restore_gc, enabled, path, outcome):
+    spec = load_spec(str(path))
+    (gc.enable if enabled else gc.disable)()
+    assert synthesize(spec).outcome is outcome
+    assert gc.isenabled() is enabled
+
+
+def test_synthesize_restores_gc_when_it_raises(restore_gc):
+    spec = tiny_spec({"V": "component A { component B; }"}, Var("V"))
+    gc.enable()
+    with pytest.raises(EncodingError, match="component 'B' missing"):
+        synthesize(spec, Scope(("A",), 0, (), ()))
+    assert gc.isenabled()
+
+
+def test_synthesize_solves_with_gc_paused(restore_gc, monkeypatch):
+    seen = []
+
+    def recording_solve(cnf, config):
+        seen.append(gc.isenabled())
+        return sat.solve(cnf, config)
+
+    monkeypatch.setattr(synth, "solve", recording_solve)
+    gc.enable()
+    spec = tiny_spec({"V": "component A { component B; }"}, Var("V"),
+                     scope_hints=ScopeHints(ports=0, extra_names=0))
+    assert synthesize(spec).outcome is SynthOutcome.SAT
+    assert seen == [False] and gc.isenabled()
