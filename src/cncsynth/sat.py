@@ -9,7 +9,11 @@ structural core.  As in MiniSat (Een & Sorensson, SAT 2003), the order heap
 holds one current entry per variable: backtracking pushes a variable only
 when it has none.  The formula's clauses reach the solver through one
 loader, ``_Cdcl.add_clauses``, and every clause that the trail falsifies,
-learnt or blocking, through one assertion path, ``_Cdcl._learn``.  An
+learnt or blocking, through one assertion path, ``_Cdcl._learn``.  Like
+the root simplification that MiniSat makes before it searches, the loader
+propagates the units and binary clauses alone first: a conflict there
+refutes the formula before a single longer clause is watched, and no
+conflict leaves no trace, so the search is the one it would have been.  An
 external solver, ``_External``, takes clauses through the same interface.
 ``solve`` and ``iter_assignments`` share one loop, ``_answers``, for both
 engines, and its one deadline bounds the whole loop, every solve call
@@ -186,10 +190,12 @@ class _Cdcl:
     each variable it unassigned.
 
     The formula's clauses enter through ``add_clauses`` before the first
-    solve.  A clause that the trail falsifies, a learnt clause or a blocking
-    clause between solves (through ``add_blocking_clause``), enters through
-    ``_learn``, which attaches it, backjumps to its assertion level and
-    implies its first literal.
+    solve; it refutes the formula at once if its units and binary clauses
+    conflict by propagation, and attaches the longer clauses only when they
+    do not.  A clause that the trail falsifies, a learnt clause or a
+    blocking clause between solves (through ``add_blocking_clause``),
+    enters through ``_learn``, which attaches it, backjumps to its
+    assertion level and implies its first literal.
     """
 
     def __init__(self, num_vars: int, limits: SolverLimits, deadline: float | None = None):
@@ -225,43 +231,73 @@ class _Cdcl:
         self.warm_start = False
 
     def add_clauses(self, clauses) -> None:
-        """Attach clauses in order.  A clause of two or more literals on
-        distinct variables, the bulk of an encoding, goes straight to the
-        implication lists (binary) or the watches; any other clause is
-        dropped if it is a tautology and otherwise loses its repeated
-        literals first.  An empty clause, or a unit that contradicts the
-        trail, makes the formula UNSAT."""
+        """Load the formula's clauses, in order, before the first solve.  A
+        clause of two or more literals on distinct variables, the bulk of an
+        encoding, is taken as it is; any other clause is dropped if it is a
+        tautology and otherwise loses its repeated literals first.  Units go
+        on the trail and binary clauses to the implication lists at once.  An
+        empty clause, or a unit that contradicts the trail, makes the formula
+        UNSAT.
+
+        The clauses of three or more literals wait while ``propagate`` runs
+        at the root over the units and binary clauses alone.  A conflict
+        there refutes a subset of the formula, so the formula is UNSAT, with
+        the check's propagations counted, and the longer clauses are never
+        attached.  Otherwise the check leaves nothing behind: its
+        implications are cancelled, the propagation count restored and the
+        trail rewound to the units, so the longer clauses get the watches
+        they would have had without it and the search runs as if it had
+        never been made."""
         nv = self.nv
         bin_imp = self.bin_imp
-        watches = self.watches
+        longer = []
+        defer = longer.append
         for c in clauses:
             n = len(c)
             if n == 2:
                 a, b = c
-                plain = a != b and a != -b
+                if a != b and a != -b:
+                    bin_imp[nv - a].append(b)
+                    bin_imp[nv - b].append(a)
+                    continue
             elif n == 3:
                 a, b, d = c
-                plain = a != b and a != d and b != d and a != -b and a != -d and b != -d
-            else:
-                plain = n > 3 and len(set(map(abs, c))) == n
-            if not plain:
-                lits = set(c)
-                if any(-l in lits for l in lits):
-                    continue  # tautology
-                c = list(dict.fromkeys(c))
-                n = len(c)
-                if n < 2:
-                    if not (c and self.enqueue(c[0], None)):
-                        self.ok = False
+                if a != b and a != d and b != d and a != -b and a != -d and b != -d:
+                    defer(c)
                     continue
-            if n == 2:
+            elif n > 3 and len(set(map(abs, c))) == n:
+                defer(c)
+                continue
+            # A unit, the empty clause, or a clause that repeats a variable.
+            lits = set(c)
+            if any(-l in lits for l in lits):
+                continue  # tautology
+            c = list(dict.fromkeys(c))
+            if len(c) > 2:
+                defer(c)
+            elif len(c) == 2:
                 a, b = c
                 bin_imp[nv - a].append(b)
                 bin_imp[nv - b].append(a)
-            else:
-                c = list(c)
-                watches[c[0] + nv].append((c[1], c))
-                watches[c[1] + nv].append((c[0], c))
+            elif not (c and self.enqueue(c[0], None)):
+                self.ok = False
+        if not self.ok:
+            return  # already UNSAT: no check, and no propagation counted
+        # One level with no decision holds the implications, so that
+        # cancel_until takes them back.
+        propagations = self.stats.propagations
+        self.trail_lim.append(len(self.trail))
+        conflict = self.propagate()
+        self.cancel_until(0)
+        if conflict is not None:
+            self.ok = False
+            return
+        self.qhead = 0
+        self.stats.propagations = propagations
+        watches = self.watches
+        for c in map(list, longer):
+            watches[c[0] + nv].append((c[1], c))
+            watches[c[1] + nv].append((c[0], c))
 
     def add_blocking_clause(self, lits: tuple[int, ...]) -> None:
         """Add a clause that the last SAT answer falsifies (every literal is

@@ -40,18 +40,28 @@ from cncsynth.sat import (
 
 
 def random_cnf(rng: random.Random) -> CnfInstance:
+    """Up to 6 variables and 14 clauses of 1 to 5 literals, a quarter of
+    them units: enough units and binary clauses that they alone refute some
+    draws at the root, and enough longer clauses that most draws have one."""
     n = rng.randint(1, 6)
     m = rng.randint(1, 14)
     clauses = []
     for _ in range(m):
-        width = rng.randint(1, 3)
+        width = rng.choice((1, 1, 2, 2, 3, 3, 4, 5))
         vs = rng.sample(range(1, n + 1), min(width, n))
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return CnfInstance(n, tuple(clauses))
 
 
+def loaded(cnf: CnfInstance) -> sat._Cdcl:
+    solver = sat._Cdcl(cnf.num_vars, SolverLimits())
+    solver.add_clauses(cnf.clauses)
+    return solver
+
+
 def test_random_formulas_match_truth_tables():
     rng = random.Random(13)
+    root_check = set()
     for _ in range(150):
         cnf = random_cnf(rng)
         result = solve(cnf)
@@ -59,6 +69,45 @@ def test_random_formulas_match_truth_tables():
         assert (result.status == SAT) == expected
         if expected:
             assert check_assignment(cnf, result.assignment)
+        if any(len(c) > 2 for c in cnf.clauses):
+            # The root check of add_clauses refuted the draw if it propagated
+            # and failed; one that passes restores the count to 0, and a load
+            # that fails on its units stops before it.
+            solver = loaded(cnf)
+            root_check.add("passed" if solver.ok else
+                           "refuted" if solver.stats.propagations else "not run")
+    assert {"refuted", "passed"} <= root_check
+
+
+def test_a_root_refutation_by_units_and_binary_clauses_attaches_no_longer_clause():
+    # 1 implies 2 and 2 implies -3, against the unit 3.
+    small = CnfInstance(5, ((1,), (-1, 2), (1, 3, 4, 5), (-2, -3), (2, 4, 5), (3,)))
+    s2 = encode(load_spec(str(RJ / "S2.cncspec"))).cnf
+    for cnf in (small, s2):
+        assert any(len(c) > 2 for c in cnf.clauses)
+        solver = loaded(cnf)
+        assert not solver.ok
+        assert not any(solver.watches)
+        assert solve(cnf).status == UNSAT
+
+
+def test_a_root_check_without_conflict_leaves_nothing_behind():
+    # The units 1 and 4 imply 2 and 3 through binary clauses and refute
+    # nothing; only the units stay on the trail, and the longer clauses
+    # watch their first two literals as if no check had been made.
+    cnf = CnfInstance(5, ((1,), (-1, 2), (-2, 3), (-3, 4, 5), (4,), (1, -4, 5)))
+    solver = loaded(cnf)
+    nv = solver.nv
+    assert solver.ok
+    assert solver.trail == [1, 4] and solver.trail_lim == [] and solver.qhead == 0
+    assert [v for v in range(1, nv + 1) if solver.val[v + nv]] == [1, 4]
+    assert solver.stats.propagations == 0
+    assert all(r is None for r in solver.reason)
+    assert {l: [c for _, c in solver.watches[l + nv]] for l in range(-nv, nv + 1)
+            if solver.watches[l + nv]} == {-3: [[-3, 4, 5]], 4: [[-3, 4, 5]],
+                                            1: [[1, -4, 5]], -4: [[1, -4, 5]]}
+    result = solve(cnf)
+    assert result.status == SAT and check_assignment(cnf, result.assignment)
 
 
 def test_trivial_instances():
@@ -208,6 +257,11 @@ def search_counts(cnf: CnfInstance) -> tuple[str, int, int, int]:
 
 def test_search_counts_lander_first_solve():
     assert search_counts(encode(load_spec(str(LANDER / "Lander.cncspec"))).cnf) == (SAT, 7, 51, 815)
+
+
+def test_search_counts_s2():
+    # Refuted at the root by its units and binary clauses alone.
+    assert search_counts(encode(load_spec(str(RJ / "S2.cncspec"))).cnf) == (UNSAT, 0, 0, 7)
 
 
 def test_search_counts_s2nonest():
