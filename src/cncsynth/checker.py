@@ -4,16 +4,14 @@ completeness)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cncsynth.model import (
-    AbstractConnector,
     CncModel,
     CncView,
     Component,
     Port,
     PortRef,
-    port_chain_graph,
     transitive_closure,
     validate_model,
 )
@@ -45,7 +43,6 @@ class ViewViolation:
 class SatisfactionResult:
     satisfied: bool
     violations: tuple[ViewViolation, ...]
-    chain_witnesses: dict[AbstractConnector, tuple[tuple[PortRef, PortRef], ...]] = field(default_factory=dict)
 
 
 def _endpoint_ports(m: CncModel, cmp: str, port_name: str | None, port_type: str | None) -> list[PortRef]:
@@ -83,7 +80,8 @@ def satisfies(m: CncModel, v: CncView) -> SatisfactionResult:
     Inclusion of types/components/ports, the containment biconditional
     (view containment iff model transitive containment, so unrelated view
     components must be independent in the model), and a connector chain for
-    every abstract connector.  Runs BFS on the port graph, so polynomial.
+    every abstract connector, read off the model's cached connector closure
+    :attr:`CncModel.reaches`, so polynomial.
     """
     _require_well_formed(m, allow_multiple_tops=False)
     return _judge_view(m, v)
@@ -127,21 +125,16 @@ def _judge_view(m: CncModel, v: CncView) -> SatisfactionResult:
                 violations.append(ViewViolation("INDEPENDENCE", f"{a} > {b}",
                                                 "model nests components the view keeps independent"))
 
-    graph = port_chain_graph(m)
-    witnesses: dict[AbstractConnector, tuple[tuple[PortRef, PortRef], ...]] = {}
     for ac in v.abs_connectors:
         if ac.src_cmp not in m.by_name or ac.tgt_cmp not in m.by_name:
             continue
         sources = _endpoint_ports(m, ac.src_cmp, ac.src_port, ac.src_type)
         targets = _endpoint_ports(m, ac.tgt_cmp, ac.tgt_port, ac.tgt_type)
-        chain = graph.shortest_chain(sources, set(targets)) if sources and targets else None
-        if chain is None:
+        if not any((p, q) in m.reaches for p in sources for q in targets):
             violations.append(ViewViolation("NO_CHAIN", str(ac),
                                             "no connector chain realizes the abstract connector"))
-        else:
-            witnesses[ac] = tuple(chain)
 
-    return SatisfactionResult(not violations, tuple(violations), witnesses)
+    return SatisfactionResult(not violations, tuple(violations))
 
 
 # --- Full-specification evaluation -------------------------------------------
@@ -182,10 +175,10 @@ def end_to_end_graph(m: CncModel) -> set[tuple[str, str]]:
     """Component pairs (c1, c2) with an end-to-end connection: a chain from a
     port of c1 with no incoming connector to a port of c2 with no outgoing
     connector."""
-    graph = port_chain_graph(m)
-    has_incoming = {t for _, t in graph.edges}
-    return {(p.component, q.component) for p, q in transitive_closure(graph.adjacency)
-            if p not in has_incoming and q not in graph.adjacency}
+    has_incoming = {c.tgt for c in m.connectors}
+    has_outgoing = {c.src for c in m.connectors}
+    return {(p.component, q.component) for p, q in m.reaches
+            if p not in has_incoming and q not in has_outgoing}
 
 
 def _cycle_violations(edges: set[tuple[str, str]]) -> list[StyleViolation]:

@@ -149,9 +149,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.enumerate is not None:
         return _synth_enumerate(args, spec, config)
     result = synthesize(spec, config=config)
+    scope = result.encoding.scope
     payload = {
         "outcome": result.outcome.value,
-        "scope": _scope_json(result.scope),
+        "scope": _scope_json(scope),
         "stats": {"conflicts": result.stats.conflicts, "decisions": result.stats.decisions,
                   "propagations": result.stats.propagations},
         "clauses": _clause_counts(result.encoding.cnf),
@@ -160,8 +161,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _emit(args, payload, "resource limit reached before a verdict")
         return EXIT_INTERNAL
     if result.outcome is SynthOutcome.UNSAT:
-        lines = [f"unsatisfiable within scope (ports={result.scope.ports}, "
-                 f"components={len(result.scope.components)})", *_port_clashes(spec, payload)]
+        lines = [f"unsatisfiable within scope (ports={scope.ports}, "
+                 f"components={len(scope.components)})", *_port_clashes(spec, payload)]
         _emit(args, payload, "\n".join(lines))
         return EXIT_NEGATIVE
     text = print_model(result.model)
@@ -288,7 +289,8 @@ def _add_scope_args(sp: argparse.ArgumentParser) -> None:
 def _add_solver_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--solver", help="external SAT solver executable (default: internal; "
                                      "also settable via CNCSYNTH_SOLVER)")
-    sp.add_argument("--conflicts", type=int, help="conflict limit (internal solver only)")
+    sp.add_argument("--conflicts", type=int, help="conflict limit for the whole run, all the models "
+                                                    "of an enumeration together (internal solver only)")
     sp.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
 
 

@@ -151,6 +151,15 @@ class CncModel:
         """Transitive closure of the model's containment edges."""
         return transitive_closure({c.name: c.subcomponents for c in self.components})
 
+    @cached_property
+    def reaches(self) -> frozenset[tuple[PortRef, PortRef]]:
+        """Port pairs ``(p, q)`` joined by a chain of one or more connectors;
+        ``(p, p)`` only through a cycle."""
+        edges: dict[PortRef, list[PortRef]] = {}
+        for conn in self.connectors:
+            edges.setdefault(conn.src, []).append(conn.tgt)
+        return transitive_closure(edges)
+
     @property
     def top(self) -> str:
         if len(self.tops) != 1:
@@ -324,49 +333,3 @@ def contains_transitive(m: CncModel, parent: str, child: str) -> bool:
     m.component(parent)
     m.component(child)
     return (parent, child) in m.contains
-
-
-@dataclass(frozen=True)
-class PortGraph:
-    """Directed graph over ports; one edge per connector."""
-
-    edges: tuple[tuple[PortRef, PortRef], ...]
-
-    @cached_property
-    def adjacency(self) -> dict[PortRef, tuple[PortRef, ...]]:
-        adj: dict[PortRef, list[PortRef]] = {}
-        for s, t in self.edges:
-            adj.setdefault(s, []).append(t)
-        return {s: tuple(sorted(ts)) for s, ts in adj.items()}
-
-    def successors(self, p: PortRef) -> tuple[PortRef, ...]:
-        return self.adjacency.get(p, ())
-
-    def shortest_chain(self, sources: list[PortRef], targets: set[PortRef]) -> list[tuple[PortRef, PortRef]] | None:
-        """BFS for a shortest connector chain (at least one edge) from any
-        source to any target; ties broken by lexicographic port order."""
-        starts = sorted(set(sources))
-        prev: dict[PortRef, PortRef] = {}
-        work = deque(starts)
-        seen = set(starts)
-        while work:
-            p = work.popleft()
-            for q in self.successors(p):
-                if q in targets:
-                    chain = [(p, q)]
-                    node = p
-                    while node in prev:
-                        chain.append((prev[node], node))
-                        node = prev[node]
-                    chain.reverse()
-                    return chain
-                if q not in seen:
-                    seen.add(q)
-                    prev[q] = p
-                    work.append(q)
-        return None
-
-
-def port_chain_graph(m: CncModel) -> PortGraph:
-    """The directed port graph whose edges are the model's connectors."""
-    return PortGraph(tuple((c.src, c.tgt) for c in m.connectors))

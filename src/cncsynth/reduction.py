@@ -19,6 +19,7 @@ from cncsynth.encoder import Scope
 from cncsynth.model import CncModel, CncView, Component, contains_transitive
 from cncsynth.sat import SolverConfig, parse_dimacs
 from cncsynth.speclang import And, Or, Var, ViewSpec, resolve
+from cncsynth.synth import SynthOutcome, synthesize
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,6 @@ def witness_model(f: Cnf3Formula, assignment: dict[int, bool]) -> CncModel:
 
 def solve_3sat(f: Cnf3Formula, config: SolverConfig = SolverConfig()) -> dict[int, bool] | None:
     """Decide ``f`` by synthesis over the reduced specification."""
-    from cncsynth.synth import SynthOutcome, synthesize
-
     if f.num_vars == 0:
         return None if any(len(c) == 0 for c in f.clauses) else {}
     result = synthesize(resolve(reduce_3sat(f)), scope=reduction_scope(f), config=config)

@@ -38,10 +38,9 @@ class SynthResult:
     outcome: SynthOutcome
     model: CncModel | None
     evaluation: EvaluationResult | None
-    scope: Scope
     stats: SolveStats
+    encoding: Encoding
     assignment: dict[int, bool] | None = None
-    encoding: Encoding | None = None
 
 
 def verify_closures(enc: Encoding, assignment: dict[int, bool], model: CncModel) -> None:
@@ -69,7 +68,12 @@ def verify_closures(enc: Encoding, assignment: dict[int, bool], model: CncModel)
             raise SoundnessError(f"reach({p}, {q}) is {assignment.get(v)}, closure says {truth}")
 
 
-def _verified(model: CncModel, spec: ResolvedSpec) -> EvaluationResult:
+def _decode_verified(enc: Encoding, assignment: dict[int, bool],
+                     spec: ResolvedSpec) -> tuple[CncModel, EvaluationResult]:
+    """Decode ``assignment`` and verify the model: its closures against the
+    solver's, its well-formedness and the full specification."""
+    model = decode(enc, assignment)
+    verify_closures(enc, assignment, model)
     bad = validate_model(model, allow_multiple_tops=bool(spec.style.tops))
     if bad:
         raise SoundnessError("decoded model is ill-formed: " + "; ".join(str(v) for v in bad))
@@ -80,7 +84,7 @@ def _verified(model: CncModel, spec: ResolvedSpec) -> EvaluationResult:
             "decoded model does not satisfy the specification "
             f"(formula={evaluation.formula_value}, failing views={failing}, "
             f"constraints={[str(v) for v in evaluation.constraint_violations]})")
-    return evaluation
+    return model, evaluation
 
 
 @contextmanager
@@ -116,12 +120,9 @@ def synthesize(spec: ResolvedSpec, scope: Scope | None = None,
         result = solve(enc.cnf, config)
         if result.status != SAT:
             outcome = SynthOutcome.RESOURCE_LIMIT if result.status == RESOURCE_LIMIT else SynthOutcome.UNSAT
-            return SynthResult(outcome, None, None, enc.scope, result.stats, encoding=enc)
-        model = decode(enc, result.assignment)
-        verify_closures(enc, result.assignment, model)
-        evaluation = _verified(model, spec)
-        return SynthResult(SynthOutcome.SAT, model, evaluation, enc.scope, result.stats,
-                           assignment=result.assignment, encoding=enc)
+            return SynthResult(outcome, None, None, result.stats, enc)
+        model, evaluation = _decode_verified(enc, result.assignment, spec)
+        return SynthResult(SynthOutcome.SAT, model, evaluation, result.stats, enc, result.assignment)
 
 
 def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
@@ -145,7 +146,4 @@ def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
             raise TimeoutError("solver resource limit reached during enumeration")
         if result.status != SAT:
             return
-        model = decode(enc, result.assignment)
-        verify_closures(enc, result.assignment, model)
-        _verified(model, spec)
-        yield model
+        yield _decode_verified(enc, result.assignment, spec)[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -19,9 +20,12 @@ MODEL = str(RJ / "rotational_joint.cnc")
 SPEC = str(LANDER / "Lander.cncspec")
 
 
-def run(*argv, timeout=120):
+def run(*argv, timeout=120, env=None):
+    """Run the CLI with the caller's environment less ``CNCSYNTH_SOLVER``,
+    plus ``env``: a shell that names an external solver changes no test."""
+    base = {k: v for k, v in os.environ.items() if k != "CNCSYNTH_SOLVER"}
     return subprocess.run([sys.executable, "-m", "cncsynth.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, env={**base, **(env or {})})
 
 
 def test_check_pass():
@@ -74,6 +78,17 @@ def test_synth_with_a_missing_solver_is_an_internal_error(tmp_path):
     p = run("synth", SPEC, "--solver", str(missing))
     assert p.returncode == 3
     assert f"internal error: cannot run external solver {str(missing)!r}" in p.stderr
+
+
+def test_solver_env_var_names_the_solver_and_the_flag_wins(tmp_path):
+    from_env, from_flag = tmp_path / "env-solver", tmp_path / "flag-solver"
+    env = {"CNCSYNTH_SOLVER": str(from_env)}
+    p = run("synth", SPEC, env=env)
+    assert p.returncode == 3
+    assert f"cannot run external solver {str(from_env)!r}" in p.stderr
+    p = run("synth", SPEC, "--solver", str(from_flag), env=env)
+    assert p.returncode == 3
+    assert f"cannot run external solver {str(from_flag)!r}" in p.stderr and str(from_env) not in p.stderr
 
 
 def test_synth_enumerate():

@@ -14,7 +14,6 @@ from cncsynth.model import (
     Port,
     PortRef,
     contains_transitive,
-    port_chain_graph,
     validate_model,
 )
 
@@ -195,22 +194,27 @@ def test_view_contains_is_transitive():
 
 
 def test_port_graph_shortest_chain():
-    a, b, c = PortRef("X", "a"), PortRef("X", "b"), PortRef("X", "c")
-    from cncsynth.model import PortGraph
-    g = PortGraph(((a, b), (b, c), (a, c)))
-    # Direct edge beats the two-step route.
-    assert g.shortest_chain([a], {c}) == [(a, c)]
-    # Two-step chain when there is no shortcut.
-    g2 = PortGraph(((a, b), (b, c)))
-    assert g2.shortest_chain([a], {c}) == [(a, b), (b, c)]
-    # No path at all.
-    assert g2.shortest_chain([c], {a}) is None
-    # A chain must contain at least one edge even when source == target.
-    g3 = PortGraph(((a, b), (b, a)))
-    assert g3.shortest_chain([a], {a}) == [(a, b), (b, a)]
+    # The chain relation is CncModel.reaches: one or more connectors.
+    top, a, c = PortRef("Top", "tin"), PortRef("A", "ain"), PortRef("C", "cin")
+    m = CncModel(
+        [mk("Top", [Port("tin", IN, "int")], {"A"}),
+         mk("A", [Port("ain", IN, "int")], {"C"}),
+         mk("C", [Port("cin", IN, "int")])],
+        [Connector(top, a), Connector(a, c)],
+    )
+    assert validate_model(m) == []
+    # Top.tin -> A.ain -> C.cin is a two-connector chain; chains are directed.
+    assert (top, c) in m.reaches
+    assert (c, top) not in m.reaches
+    # A port reaches itself only through a cycle of connectors.
+    assert (top, top) not in m.reaches
+    x, y = PortRef("X", "a"), PortRef("X", "b")
+    cyclic = CncModel([mk("X")], [Connector(x, y), Connector(y, x)])
+    assert {(x, x), (x, y), (y, x), (y, y)} == cyclic.reaches
 
 
 def test_port_chain_graph_edges_are_connectors():
     m = well_formed_sample()
-    g = port_chain_graph(m)
-    assert set(g.edges) == {(c.src, c.tgt) for c in m.connectors}
+    # Top.tin -> A.ain and A.aout -> B.bin share no port, so the closure
+    # holds exactly the connectors.
+    assert m.reaches == {(conn.src, conn.tgt) for conn in m.connectors}

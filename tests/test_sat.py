@@ -502,6 +502,17 @@ def test_deadline_bounds_a_whole_enumeration(monkeypatch):
     assert statuses == [SAT, SAT, SAT, RESOURCE_LIMIT]
 
 
+def test_conflict_limit_bounds_a_whole_enumeration():
+    # The conflict count runs on across the answers, so the limit is spent
+    # by the enumeration as a whole, not by each answer in turn.
+    enc = encode(load_spec(str(LANDER / "Lander.cncspec")))
+    results = list(iter_assignments(enc.cnf, SolverConfig(limits=SolverLimits(conflicts=50)),
+                                    list(enc.structural_vars)))
+    *answers, last = results
+    assert len(answers) >= 2 and all(r.status == SAT for r in answers)
+    assert last.status == RESOURCE_LIMIT and last.stats.conflicts == 50
+
+
 def test_deadline_is_read_at_every_conflict(monkeypatch):
     # A clock that moves 1 s on every reading passes the 2.5 s deadline at
     # the first conflict, long before the search would refute the formula.
