@@ -103,6 +103,15 @@ class VarMap:
             self._index[key] = v
         return v
 
+    def new(self, *key) -> int:
+        """Number ``key``, which must have no variable yet, with one
+        dictionary operation; for an auxiliary that is new by construction."""
+        v = len(self._keys)
+        if self._index.setdefault(key, v) != v:
+            raise ValueError(f"variable {' '.join(map(str, key))} is already numbered")
+        self._keys.append(key)
+        return v
+
     def get(self, *key) -> int | None:
         return self._index.get(key)
 
@@ -308,7 +317,7 @@ class _Encoder:
 
     def _transitive_containment(self) -> None:
         self.begin("transitive-containment")
-        comps, par, var = self.comps, self.par, self.vm.var
+        comps, par, new = self.comps, self.par, self.vm.new
         emit = self.clauses.append
         subt = self.subt
         for c in comps:
@@ -335,7 +344,7 @@ class _Encoder:
                 for e in comps:
                     if e == c or e == d:
                         continue
-                    w = var("subtstep", c, e, d)
+                    w = new("subtstep", c, e, d)
                     emit((-w, sc[e]))
                     emit((-w, par[e][d]))
                     witnesses.append(w)
@@ -440,7 +449,7 @@ class _Encoder:
 
     def _reachability(self) -> None:
         self.begin("reachability")
-        slots, conn, var = self.slots, self.conn, self.vm.var
+        slots, conn, new = self.slots, self.conn, self.vm.new
         reach = self.reach
         emit = self.clauses.append
         for p in slots:
@@ -458,7 +467,7 @@ class _Encoder:
                 for r in slots:
                     if r == p or r == q:
                         continue
-                    s = var("reachstep", p, r, q)
+                    s = new("reachstep", p, r, q)
                     crq = conn[r][q]
                     emit((-s, rp[r]))
                     emit((-s, crq))
@@ -499,9 +508,19 @@ class _Encoder:
             return v
         src = _Table(partial(self._endpoint_sel, c=ac.src_cmp, n=ac.src_port, t=ac.src_type))
         tgt = _Table(partial(self._endpoint_sel, c=ac.tgt_cmp, n=ac.tgt_port, t=ac.tgt_type))
-        reach = self.reach
-        lits = [self.and_var(key + ("pair", p, q), [src[p], tgt[q], reach[p][q]])
-                for p in self.slots for q in self.slots if p != q]
+        reach, new, define = self.reach, self.vm.new, self.clauses.extend
+        lits = []
+        # Each pair auxiliary is the conjunction of its three literals.  It
+        # is new: there are two pairs or more, or none, so the call that
+        # numbers the pairs also numbers the acok key, and a later call for
+        # the same key returns above.
+        for p in self.slots:
+            for q in self.slots:
+                if p != q:
+                    s, t, r = src[p], tgt[q], reach[p][q]
+                    v = new(*key, "pair", p, q)
+                    define(((-v, s), (-v, t), (-v, r), (v, -s, -t, -r)))
+                    lits.append(v)
         return self.or_var(key, lits)
 
     def _views(self) -> None:

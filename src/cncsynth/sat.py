@@ -12,9 +12,11 @@ loader, ``_Cdcl.add_clauses``, and every clause that the trail falsifies,
 learnt or blocking, through one assertion path, ``_Cdcl._learn``.  Like
 the root simplification that MiniSat makes before it searches, the loader
 propagates the units and binary clauses alone first: a conflict there
-refutes the formula before a single longer clause is watched, and no
-conflict leaves no trace, so the search is the one it would have been.  An
-external solver, ``_External``, takes clauses through the same interface.
+refutes the formula before a longer clause is fully normalized or a watch
+list built, so a root refutation costs what its units and binary clauses
+cost, and no conflict leaves no trace, so the search is the one it would
+have been.  An external solver, ``_External``, takes clauses through the
+same interface.
 ``solve`` and ``iter_assignments`` share one loop, ``_answers``, for both
 engines, and its one deadline bounds the whole loop, every solve call
 included.  It checks every SAT answer before returning it, as strictly as
@@ -166,6 +168,15 @@ class _FormulaCheck:
 
 # --- Internal CDCL solver ----------------------------------------------------
 
+def _normalized(c) -> list[int] | None:
+    """``c`` without its repeated literals, in first-seen order, or None if
+    it is a tautology."""
+    lits = set(c)
+    if any(-l in lits for l in lits):
+        return None
+    return list(dict.fromkeys(c))
+
+
 class _Cdcl:
     """Conflict-driven clause learning with two-watched-literal propagation,
     a dedicated binary-implication graph, 1UIP learning with local clause
@@ -189,13 +200,14 @@ class _Cdcl:
     emptied the heap, and the backjump of ``add_blocking_clause`` pushed
     each variable it unassigned.
 
-    The formula's clauses enter through ``add_clauses`` before the first
-    solve; it refutes the formula at once if its units and binary clauses
-    conflict by propagation, and attaches the longer clauses only when they
-    do not.  A clause that the trail falsifies, a learnt clause or a
-    blocking clause between solves (through ``add_blocking_clause``),
-    enters through ``_learn``, which attaches it, backjumps to its
-    assertion level and implies its first literal.
+    The formula's clauses enter through ``add_clauses``, once, before the
+    first solve; it refutes the formula at once if its units and binary
+    clauses conflict by propagation, and builds the watch lists and
+    attaches the longer clauses only when they do not.  A clause that the
+    trail falsifies, a learnt clause or a blocking clause between solves
+    (through ``add_blocking_clause``), enters through ``_learn``, which
+    attaches it, backjumps to its assertion level and implies its first
+    literal.
     """
 
     def __init__(self, num_vars: int, limits: SolverLimits, deadline: float | None = None):
@@ -210,7 +222,10 @@ class _Cdcl:
         self.phase = [True] * (nv + 1)
         # bin_imp[lit + nv]: literals implied when ``lit`` becomes true.
         self.bin_imp: list[list[int]] = [[] for _ in range(2 * nv + 1)]
-        self.watches: list[list[tuple[int, list[int]]]] = [[] for _ in range(2 * nv + 1)]
+        # watches[lit + nv]: (blocker, clause) for each clause watching lit.
+        # Empty tuples until add_clauses attaches the longer clauses: the
+        # root check before that reads no watch.
+        self.watches: list = [()] * (2 * nv + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -231,23 +246,24 @@ class _Cdcl:
         self.warm_start = False
 
     def add_clauses(self, clauses) -> None:
-        """Load the formula's clauses, in order, before the first solve.  A
-        clause of two or more literals on distinct variables, the bulk of an
-        encoding, is taken as it is; any other clause is dropped if it is a
-        tautology and otherwise loses its repeated literals first.  Units go
-        on the trail and binary clauses to the implication lists at once.  An
-        empty clause, or a unit that contradicts the trail, makes the formula
-        UNSAT.
+        """Load the formula's clauses, in order, once, before the first
+        solve.  Units go on the trail and binary clauses to the implication
+        lists at once; a tautology is dropped and a repeated literal merged
+        first.  An empty clause, or a unit that contradicts the trail, makes
+        the formula UNSAT.
 
-        The clauses of three or more literals wait while ``propagate`` runs
-        at the root over the units and binary clauses alone.  A conflict
-        there refutes a subset of the formula, so the formula is UNSAT, with
-        the check's propagations counted, and the longer clauses are never
-        attached.  Otherwise the check leaves nothing behind: its
-        implications are cancelled, the propagation count restored and the
-        trail rewound to the units, so the longer clauses get the watches
-        they would have had without it and the search runs as if it had
-        never been made."""
+        Then ``propagate`` runs at the root over the units and binary clauses
+        alone.  Before it, a clause of three or more literals is only tested
+        for whether it can shrink to two literals or fewer: a ternary in
+        full, a longer clause on its first three literals (if they differ,
+        it keeps three literals or is a tautology, so its full test waits).
+        A conflict refutes a subset of the formula, so the formula is UNSAT,
+        with the check's propagations counted, and no watch list is built.
+        Otherwise the check leaves nothing behind: its implications are
+        cancelled, the propagation count restored and the trail rewound to
+        the units; then the watch lists are built and the longer clauses
+        normalized and attached in the order they came, so the search runs
+        as if the check had never been made."""
         nv = self.nv
         bin_imp = self.bin_imp
         longer = []
@@ -265,14 +281,16 @@ class _Cdcl:
                 if a != b and a != d and b != d and a != -b and a != -d and b != -d:
                     defer(c)
                     continue
-            elif n > 3 and len(set(map(abs, c))) == n:
-                defer(c)
+            elif n > 3:
+                a, b, d = c[0], c[1], c[2]
+                if a != b and a != d and b != d:
+                    defer(c)  # its full test waits for the root check
+                    continue
+            # A unit, the empty clause, or a clause that may shrink to two
+            # literals or fewer.
+            c = _normalized(c)
+            if c is None:
                 continue
-            # A unit, the empty clause, or a clause that repeats a variable.
-            lits = set(c)
-            if any(-l in lits for l in lits):
-                continue  # tautology
-            c = list(dict.fromkeys(c))
             if len(c) > 2:
                 defer(c)
             elif len(c) == 2:
@@ -294,8 +312,15 @@ class _Cdcl:
             return
         self.qhead = 0
         self.stats.propagations = propagations
-        watches = self.watches
-        for c in map(list, longer):
+        self.watches = watches = [[] for _ in range(2 * nv + 1)]
+        for c in longer:
+            n = len(c)
+            if n > 3 and len(set(map(abs, c))) != n:
+                c = _normalized(c)
+                if c is None:
+                    continue
+            else:
+                c = list(c)
             watches[c[0] + nv].append((c[1], c))
             watches[c[1] + nv].append((c[0], c))
 
@@ -589,6 +614,9 @@ class _Cdcl:
     PORTFOLIO = ((0.8, True), (0.8, False), (0.95, True), (0.75, False),
                  (0.85, True), (0.95, False))
     SEGMENT_BUDGET = 6000
+    # A run of decisions with no conflict overruns the deadline by at most
+    # DEADLINE_DECISIONS - 1 decisions.
+    DEADLINE_DECISIONS = 64
 
     def solve(self) -> SolveResult:
         """Search on until an answer, the conflict limit or the deadline."""
@@ -623,8 +651,10 @@ class _Cdcl:
 
     def _search(self, segment_limit: int) -> SolveResult | None:
         """Run CDCL until an answer, a global limit (both as SolveResult), or
-        the segment's conflict budget (None)."""
+        the segment's conflict budget (None).  The deadline is read at every
+        conflict and after every ``DEADLINE_DECISIONS``-th decision."""
         deadline = self.deadline
+        clock_every = self.DEADLINE_DECISIONS
         restart_base = self.restart_base
         luby_idx = 1
         conflicts_until_restart = restart_base * _luby(luby_idx)
@@ -664,6 +694,9 @@ class _Cdcl:
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
             self.enqueue(v if self.phase[v] else -v, None)
+            if (deadline is not None and not self.stats.decisions % clock_every
+                    and time.monotonic() > deadline):
+                return SolveResult(RESOURCE_LIMIT, stats=self.stats)
 
 
 def _luby(i: int) -> int:

@@ -25,6 +25,7 @@ from cncsynth.dsl import parse_view
 from cncsynth.encoder import (
     EncodingError,
     Scope,
+    VarMap,
     compute_scope,
     encode,
 )
@@ -296,6 +297,19 @@ def test_closed_interfaces_get_one_group_per_kind():
               if label in ("library", "interface-complete")]
     assert [label for label, _, _ in groups] == ["library", "interface-complete"]
     assert groups[0][2] == groups[1][1]
+
+
+def test_a_new_auxiliary_must_not_be_numbered_yet():
+    # VarMap.new numbers the auxiliaries that are new by construction
+    # (reachstep, subtstep, acok pairs); a key that has a variable raises
+    # and numbers nothing.
+    vm = VarMap()
+    assert vm.var("exists", "A") == 1
+    assert vm.new("reachstep", 0, 1, 2) == 2 == vm.get("reachstep", 0, 1, 2)
+    for key in (("reachstep", 0, 1, 2), ("exists", "A")):
+        with pytest.raises(ValueError, match=" ".join(map(str, key))):
+            vm.new(*key)
+    assert vm.num_vars == 2 and vm.describe(2) == "reachstep 0 1 2"
 
 
 # --- The encoding is pinned: a change to how clauses are built must not move

@@ -329,6 +329,116 @@ def test_clause_loading_normalizes_clauses():
     assert solve(CnfInstance(3, ((1, -1), (2, 3, 2, -3)))).status == SAT
 
 
+def reference_load(solver: sat._Cdcl, clauses) -> None:
+    """The previous loader, kept as the reference: it normalizes every
+    clause and builds the watch lists before the root check runs."""
+    nv = solver.nv
+    bin_imp = solver.bin_imp
+    solver.watches = [[] for _ in range(2 * nv + 1)]
+    longer = []
+    defer = longer.append
+    for c in clauses:
+        n = len(c)
+        if n == 2:
+            a, b = c
+            if a != b and a != -b:
+                bin_imp[nv - a].append(b)
+                bin_imp[nv - b].append(a)
+                continue
+        elif n == 3:
+            a, b, d = c
+            if a != b and a != d and b != d and a != -b and a != -d and b != -d:
+                defer(c)
+                continue
+        elif n > 3 and len(set(map(abs, c))) == n:
+            defer(c)
+            continue
+        lits = set(c)
+        if any(-l in lits for l in lits):
+            continue
+        c = list(dict.fromkeys(c))
+        if len(c) > 2:
+            defer(c)
+        elif len(c) == 2:
+            a, b = c
+            bin_imp[nv - a].append(b)
+            bin_imp[nv - b].append(a)
+        elif not (c and solver.enqueue(c[0], None)):
+            solver.ok = False
+    if not solver.ok:
+        return
+    propagations = solver.stats.propagations
+    solver.trail_lim.append(len(solver.trail))
+    conflict = solver.propagate()
+    solver.cancel_until(0)
+    if conflict is not None:
+        solver.ok = False
+        return
+    solver.qhead = 0
+    solver.stats.propagations = propagations
+    watches = solver.watches
+    for c in map(list, longer):
+        watches[c[0] + nv].append((c[1], c))
+        watches[c[1] + nv].append((c[0], c))
+
+
+def load_state(solver: sat._Cdcl) -> tuple:
+    """What a load leaves for the search, with each watch list as a list of
+    (blocker, literals) pairs whatever holds it."""
+    watches = [[(b, list(c)) for b, c in w] for w in solver.watches]
+    return (solver.ok, solver.trail, solver.trail_lim, solver.qhead, solver.val, solver.bin_imp,
+            watches, solver.stats.propagations)
+
+
+@st.composite
+def cnf_with_repeats(draw) -> CnfInstance:
+    """Up to 5 variables and 12 clauses of 1 to 8 literals, so that repeated
+    and complementary literals fall at any position of a clause."""
+    n = draw(st.integers(1, 5))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=8).map(tuple), max_size=12))
+    return CnfInstance(n, tuple(clauses))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cnf_with_repeats())
+@example(CnfInstance(3, ((1, 2, 3, 1),)))
+@example(CnfInstance(3, ((1, 2, 3, -1),)))
+@example(CnfInstance(2, ((1, 1, 2, 2), (-1,), (-2,))))
+@example(CnfInstance(4, ((1, 2, 3, 4, 2), (-1,), (1, 2, 3, 4, -4), (2, 4))))
+def test_loader_matches_the_reference_loader(cnf):
+    # Deferring a longer clause's full test past the root check changes
+    # nothing that the check or the search reads.
+    solver, reference = loaded(cnf), sat._Cdcl(cnf.num_vars, SolverLimits())
+    reference_load(reference, cnf.clauses)
+    assert load_state(solver) == load_state(reference)
+    assert (solve(cnf).status == SAT) == truth_table_sat(cnf.num_vars, cnf.clauses)
+
+
+def watched(solver: sat._Cdcl) -> dict[int, list[list[int]]]:
+    nv = solver.nv
+    return {l: [c for _, c in solver.watches[l + nv]] for l in range(-nv, nv + 1)
+            if solver.watches[l + nv]}
+
+
+def test_a_longer_clause_that_repeats_a_literal_attaches_without_the_repeat():
+    assert watched(loaded(CnfInstance(3, ((1, 2, 3, 1),)))) == {1: [[1, 2, 3]], 2: [[1, 2, 3]]}
+
+
+def test_a_longer_tautology_attaches_nothing():
+    solver = loaded(CnfInstance(3, ((1, 2, 3, -1),)))
+    assert solver.ok and watched(solver) == {} and not any(solver.bin_imp)
+
+
+def test_a_longer_clause_that_shrinks_to_two_literals_joins_the_root_check():
+    # (1, 1, 2, 2) is the binary clause (1, 2): with the units -1 and -2 the
+    # check refutes the formula before any watch list is built.
+    solver = loaded(CnfInstance(2, ((1, 1, 2, 2), (-1,), (-2,))))
+    assert not solver.ok
+    assert solver.bin_imp[solver.nv - 1] == [2] and solver.bin_imp[solver.nv - 2] == [1]
+    assert not any(isinstance(w, list) for w in solver.watches)
+
+
 # --- the SAT re-check ------------------------------------------------------------
 
 def test_check_assignment_reads_absent_variables_as_false():
@@ -526,6 +636,26 @@ def test_deadline_is_read_at_every_conflict(monkeypatch):
     monkeypatch.setattr(sat, "time", TickingClock())
     result = solve(pigeonhole(4, 3), SolverConfig(limits=SolverLimits(wall_seconds=2.5)))
     assert result.status == RESOURCE_LIMIT and result.stats.conflicts == 1
+
+
+def test_deadline_is_read_between_decisions(monkeypatch):
+    # 100 variables that the solver decides one by one with no conflict: the
+    # clock, moving 1 s on every reading, is read after the 64th decision
+    # and stops the search there.
+    class TickingClock:
+        now = 0.0
+
+        def monotonic(self):
+            self.now += 1.0
+            return self.now
+
+    cnf = CnfInstance(100, tuple((v, v + 1) for v in range(1, 100)))
+    free = solve(cnf)
+    assert free.status == SAT and free.stats.conflicts == 0 and free.stats.decisions > 64
+    monkeypatch.setattr(sat, "time", TickingClock())
+    result = solve(cnf, SolverConfig(limits=SolverLimits(wall_seconds=2.5)))
+    assert result.status == RESOURCE_LIMIT
+    assert result.stats.conflicts == 0 and result.stats.decisions == 64
 
 
 def test_external_calls_get_the_time_that_is_left(monkeypatch):
