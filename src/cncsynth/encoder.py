@@ -736,12 +736,20 @@ class _Encoder:
 # --- Decoding -----------------------------------------------------------------
 
 def decode(enc: Encoding, assignment: dict[int, bool]) -> CncModel:
-    """Read a model back from a satisfying assignment of the encoding."""
+    """Read a model back from a satisfying assignment of the encoding.  A
+    used port slot with no owner, name or type raises ValueError naming
+    the slot: no model of the encoding leaves one out."""
     vm, scope = enc.varmap, enc.scope
 
     def truth(*key) -> bool:
         v = vm.get(*key)
         return v is not None and assignment.get(v, False)
+
+    def first(p: int, kind: str, values):
+        for x in values:
+            if truth(kind, p, x):
+                return x
+        raise ValueError(f"used port slot {p} has no {kind}")
 
     existing = [c for c in scope.components if truth("exists", c)]
     children: dict[str, set[str]] = {c: set() for c in existing}
@@ -755,9 +763,9 @@ def decode(enc: Encoding, assignment: dict[int, bool]) -> CncModel:
     for p in range(scope.ports):
         if not truth("used", p):
             continue
-        owner = next(c for c in existing if truth("owner", p, c))
-        name = next(n for n in scope.port_names if truth("pname", p, n))
-        ptype = next(t for t in scope.types if truth("ptype", p, t))
+        owner = first(p, "owner", existing)
+        name = first(p, "pname", scope.port_names)
+        ptype = first(p, "ptype", scope.types)
         direction = Direction.IN if truth("pin", p) else Direction.OUT
         ports[owner].append(Port(name, direction, ptype))
         slot_ref[p] = PortRef(owner, name)

@@ -160,6 +160,13 @@ class CncModel:
             edges.setdefault(conn.src, []).append(conn.tgt)
         return transitive_closure(edges)
 
+    @cached_property
+    def rule_violations(self) -> tuple[tuple[Violation, ...], tuple[Violation, ...]]:
+        """The model's broken well-formedness rules other than the single-top
+        rule, split where :func:`validate_model` reports that rule: the
+        model is immutable, so each rule runs once per model."""
+        return _rule_violations(self)
+
     @property
     def top(self) -> str:
         if len(self.tops) != 1:
@@ -249,8 +256,21 @@ def validate_model(m: CncModel, allow_multiple_tops: bool = False) -> list[Viola
     Returns an empty list iff the model is well-formed.  With
     ``allow_multiple_tops`` the single-top rule is relaxed (used by the
     client-server and layered styles, which designate several top
-    components).
+    components).  The other rules run once per model (see
+    :attr:`CncModel.rule_violations`).
     """
+    before, after = m.rule_violations
+    out = list(before)
+    if not allow_multiple_tops and len(m.components) > 0 and len(m.tops) != 1:
+        out.append(Violation("top-count", ", ".join(m.tops) or "<none>",
+                             f"model has {len(m.tops)} top components, expected exactly 1"))
+    out.extend(after)
+    return out
+
+
+def _rule_violations(m: CncModel) -> tuple[tuple[Violation, ...], tuple[Violation, ...]]:
+    """The rules of :func:`validate_model` but the single-top rule: the
+    violations reported before it and those after it."""
     out: list[Violation] = []
     names = [c.name for c in m.components]
     for n in sorted(set(x for x in names if names.count(x) > 1)):
@@ -274,9 +294,8 @@ def validate_model(m: CncModel, allow_multiple_tops: bool = False) -> list[Viola
     for a, b in sorted(transitive_closure(edges)):
         if a == b:
             out.append(Violation("containment-cycle", a, "containment cycle through component"))
-    if not allow_multiple_tops and len(m.components) > 0 and len(m.tops) != 1:
-        out.append(Violation("top-count", ", ".join(m.tops) or "<none>",
-                             f"model has {len(m.tops)} top components, expected exactly 1"))
+    before = tuple(out)
+    out = []
     if len(m.components) == 0:
         out.append(Violation("empty-model", "<model>", "model has no components"))
 
@@ -325,7 +344,7 @@ def validate_model(m: CncModel, allow_multiple_tops: bool = False) -> list[Viola
     for ref, conns in sorted(incoming.items()):
         if len(conns) > 1:
             out.append(Violation("two-incoming", str(ref), f"port has {len(conns)} incoming connectors"))
-    return out
+    return before, tuple(out)
 
 
 def contains_transitive(m: CncModel, parent: str, child: str) -> bool:

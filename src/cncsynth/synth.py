@@ -72,7 +72,10 @@ def _decode_verified(enc: Encoding, assignment: dict[int, bool],
                      spec: ResolvedSpec) -> tuple[CncModel, EvaluationResult]:
     """Decode ``assignment`` and verify the model: its closures against the
     solver's, its well-formedness and the full specification."""
-    model = decode(enc, assignment)
+    try:
+        model = decode(enc, assignment)
+    except ValueError as exc:
+        raise SoundnessError(f"cannot decode the assignment: {exc}") from exc
     verify_closures(enc, assignment, model)
     bad = validate_model(model, allow_multiple_tops=bool(spec.style.tops))
     if bad:
@@ -137,7 +140,10 @@ def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
 
     Slot symmetry breaking makes structural assignments canonical per model,
     so blocking on the structural variables walks distinct models; iteration
-    ends when the scope is exhausted.  A solver resource limit raises
+    ends when the scope is exhausted.  The first model is the one
+    :func:`synthesize` returns; with the internal engine every later one is
+    blocked by its structural decisions (see
+    :func:`cncsynth.sat.iter_assignments`).  A solver resource limit raises
     TimeoutError to keep an exhausted scope distinguishable from an
     interrupted search.
 

@@ -5,6 +5,9 @@ package goes unreferenced."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,3 +141,13 @@ def test_gc_switches_outside_finds_a_second_path():
     b = "from gc import collect, disable\n\ndef _pause():\n    disable()\n"
     assert gc_switches_outside({"a.py": a, "b.py": b}, ("a.py", "_pause")) == [
         "a.py:10 gc.freeze", "a.py:11 gc.set_threshold", "b.py:1 gc.disable"]
+
+
+def test_importing_the_cli_loads_no_process_modules():
+    # Only an external solver run needs subprocess and tempfile; a plain
+    # import must not pay for them.
+    code = "import sys, cncsynth.cli; print(sorted({'subprocess', 'tempfile'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -107,6 +107,17 @@ def test_structural_violations(components, connectors, code):
     assert code in {v.code for v in validate_model(m)}
 
 
+def test_validation_keeps_its_order_and_each_top_rule_setting():
+    # The rules other than the single-top rule run once per model; the
+    # top-count violation still comes between the containment rules and the
+    # port rules, and each setting of the top rule reads the same cache.
+    m = CncModel([mk("A"), mk("B", [Port("p", IN, "t"), Port("p", OUT, "t")]), mk("C", subs={"C"})])
+    assert [v.code for v in validate_model(m)] == ["containment-cycle", "top-count", "duplicate-port"]
+    assert [v.code for v in validate_model(m, allow_multiple_tops=True)] == ["containment-cycle", "duplicate-port"]
+    validate_model(m).clear()
+    assert [v.code for v in validate_model(m)] == ["containment-cycle", "top-count", "duplicate-port"]
+
+
 def test_connector_type_mismatch():
     m = CncModel(
         [mk("T", subs={"A", "B"}),

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -233,6 +232,63 @@ def test_enumeration_matches_brute_force(case):
     assert set(found) == projected_models(cnf.num_vars, cnf.clauses, proj)
 
 
+@settings(max_examples=300, deadline=None)
+@given(cnf_and_projection())
+@example((CnfInstance(3, ((1, 2, 3),)), [1, 2]))
+def test_later_answers_are_blocked_by_their_projection_decisions(case):
+    # After the first answer the solver decides the projection first, so at
+    # every later answer no decision outside the projection lies below one
+    # inside it, and the answer is blocked by exactly its negated projection
+    # decisions, deepest first; with none the projection is exhausted.
+    cnf, projection = case
+    proj = set(projection)
+    answers = []  # [decisions, clauses learnt while blocking, ok after]
+    blocking = False
+    real_solve, real_block, real_learn = sat._Cdcl.solve, sat._Cdcl.add_blocking_clause, sat._Cdcl._learn
+
+    def solve_(self):
+        result = real_solve(self)
+        if result.status == SAT:
+            answers.append([[self.trail[i] for i in self.trail_lim], [], None])
+        return result
+
+    def block(self, lits):
+        nonlocal blocking
+        blocking = True
+        real_block(self, lits)
+        blocking = False
+        answers[-1][2] = self.ok
+
+    def learn(self, c):
+        if blocking:
+            answers[-1][1].append(list(c))
+        real_learn(self, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sat._Cdcl, "solve", solve_)
+        mp.setattr(sat._Cdcl, "add_blocking_clause", block)
+        mp.setattr(sat._Cdcl, "_learn", learn)
+        results = list(iter_assignments(cnf, projection=projection))
+    assert len(answers) == len(results) - 1
+    for decisions, learnt, ok in answers[1:]:
+        inside = [abs(d) in proj for d in decisions]
+        assert inside == sorted(inside, reverse=True)
+        expected = [-d for d in reversed(decisions) if abs(d) in proj]
+        assert learnt == ([expected] if expected else [])
+        assert ok == bool(expected)
+
+
+@pytest.mark.parametrize("path", [LANDER / "Lander.cncspec", RJ / "S1lib.cncspec"], ids=lambda p: p.stem)
+def test_the_first_enumerated_answer_is_the_solve_answer(path):
+    # Enumeration changes the search only after its first answer.
+    enc = encode(load_spec(str(path)))
+    alone = solve(enc.cnf)
+    first = next(iter_assignments(enc.cnf, projection=list(enc.structural_vars)))
+    assert first.status == alone.status == SAT and first.assignment == alone.assignment
+    counts = (alone.stats.conflicts, alone.stats.decisions, alone.stats.propagations)
+    assert (first.stats.conflicts, first.stats.decisions, first.stats.propagations) == counts
+
+
 def test_iter_assignments_full_projection_default():
     cnf = CnfInstance(2, ((1, 2),))
     results = list(iter_assignments(cnf))
@@ -287,8 +343,10 @@ def test_search_counts_3sat_reduction():
 
 def test_search_counts_lander_enumeration():
     # Cumulative counts after 50 and 250 models (the enum workload's limit):
-    # they pin the warm resumes and the backjump of each blocking clause to
-    # its assertion level.
+    # they pin the warm resumes, the one return to the root after the first
+    # answer, the projection-first order and the backjump of each blocking
+    # clause of projection decisions to its assertion level.  Blocking each
+    # answer by its whole projection took 79/246/5125 and 289/937/15021.
     enc = encode(load_spec(str(LANDER / "Lander.cncspec")))
     counts = {}
     for n, r in enumerate(iter_assignments(enc.cnf, projection=list(enc.structural_vars)), 1):
@@ -297,7 +355,7 @@ def test_search_counts_lander_enumeration():
             counts[n] = (r.stats.conflicts, r.stats.decisions, r.stats.propagations)
             if n == 250:
                 break
-    assert counts == {50: (79, 246, 5125), 250: (289, 937, 15021)}
+    assert counts == {50: (41, 243, 3529), 250: (113, 923, 10898)}
 
 
 def test_solve_seconds_set_on_unsat_and_resource_limit():
@@ -672,7 +730,7 @@ def test_external_calls_get_the_time_that_is_left(monkeypatch):
         return subprocess.CompletedProcess(cmd, 10, f"s SATISFIABLE\nv {lits} 0\n", "")
 
     monkeypatch.setattr(sat, "time", clock)
-    monkeypatch.setattr(sat, "subprocess", SimpleNamespace(run=run, TimeoutExpired=subprocess.TimeoutExpired))
+    monkeypatch.setattr(subprocess, "run", run)  # sat imports subprocess when it runs a solver
     cfg = SolverConfig(engine="external-solver", limits=SolverLimits(wall_seconds=1.0))
     statuses = [r.status for r in iter_assignments(CnfInstance(3, ()), cfg)]
     assert statuses == [SAT, SAT, SAT, RESOURCE_LIMIT]
@@ -791,7 +849,6 @@ def test_external_engine_matches_internal(case):
                 {tuple(r.assignment.get(v, False) for v in proj) for r in results[:-1]})
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sat, "subprocess", SimpleNamespace(run=brute_force_run,
-                                                      TimeoutExpired=subprocess.TimeoutExpired))
+        mp.setattr(subprocess, "run", brute_force_run)
         external = answers(SolverConfig(engine="brute-force"))
     assert external == answers(SolverConfig())

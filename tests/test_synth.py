@@ -8,7 +8,7 @@ import pytest
 
 from conftest import LANDER, RJ
 
-from cncsynth import sat, synth
+from cncsynth import model as model_module, sat, synth
 from cncsynth.cli import load_spec
 from cncsynth.dsl import parse_view
 from cncsynth.encoder import EncodingError, Scope
@@ -133,6 +133,40 @@ def test_verify_closures_detects_tampering():
         flipped = {**assignment, v: not assignment.get(v, False)}
         with pytest.raises(SoundnessError, match="reach"):
             verify_closures(enc, flipped, result.model)
+
+
+@pytest.mark.parametrize("kind", ["owner", "pname", "ptype"])
+def test_a_used_slot_without_owner_name_or_type_is_a_soundness_error(kind, monkeypatch):
+    # Clear every `kind` variable of one used slot: decoding must name the
+    # slot, directly and inside an enumeration.
+    spec = load_spec(str(LANDER / "Lander.cncspec"))
+    result = synthesize(spec)
+    enc, assignment = result.encoding, dict(result.assignment)
+    vm, scope = enc.varmap, enc.scope
+    p = next(p for p in range(scope.ports) if assignment.get(vm.get("used", p), False))
+    values = {"owner": scope.components, "pname": scope.port_names, "ptype": scope.types}[kind]
+    for x in values:
+        if (v := vm.get(kind, p, x)) is not None:
+            assignment[v] = False
+    with pytest.raises(SoundnessError, match=f"used port slot {p} has no {kind}"):
+        synth._decode_verified(enc, assignment, spec)
+    monkeypatch.setattr(synth, "iter_assignments",
+                        lambda cnf, config, projection: iter([sat.SolveResult(sat.SAT, assignment)]))
+    with pytest.raises(SoundnessError, match=f"used port slot {p} has no {kind}"):
+        next(enumerate_models(spec))
+
+
+def test_decoding_and_verifying_runs_the_well_formedness_rules_once(monkeypatch):
+    # `validate_model` and `evaluate_spec` both check well-formedness; the
+    # rules run on the decoded model once.
+    spec = load_spec(str(LANDER / "Lander.cncspec"))
+    result = synthesize(spec)
+    runs = []
+    real = model_module._rule_violations
+    monkeypatch.setattr(model_module, "_rule_violations", lambda m: runs.append(m) or real(m))
+    model, evaluation = synth._decode_verified(result.encoding, result.assignment, spec)
+    assert model == result.model and evaluation.overall
+    assert runs == [model] and runs[0] is model
 
 
 def test_synthesized_models_are_deterministic():
