@@ -779,7 +779,13 @@ def iter_assignments(cnf: CnfInstance, cfg: SolverConfig = SolverConfig(),
     result is checked before it is yielded: the first on every clause of
     the formula, each later one on the clauses that hold a variable whose
     value it changed, and on the projection against every earlier answer;
-    a failed check raises SolverError."""
+    a failed check raises SolverError.  A projection entry outside
+    ``1..cnf.num_vars`` raises ValueError before any engine starts."""
+    if projection is not None:
+        bad = next((v for v in projection if not 1 <= v <= cnf.num_vars), None)
+        if bad is not None:
+            raise ValueError(f"projection entry {bad} is not a variable of the formula "
+                             f"(1..{cnf.num_vars})")
     proj = sorted(set(projection)) if projection is not None else list(range(1, cnf.num_vars + 1))
     if not proj:
         raise ValueError("projection must not be empty")

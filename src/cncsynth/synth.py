@@ -93,24 +93,38 @@ def _decode_verified(enc: Encoding, assignment: dict[int, bool],
 @contextmanager
 def _gc_paused() -> Iterator[None]:
     """Keep Python's cyclic collector off for the block, then restore the
-    caller's setting.
+    caller's setting, with what the block left alive in the oldest
+    generation.
 
     The encoding and the solver hold no cycles (clause tuples, watch lists,
     the VarMap), so reference counting frees them; with the collector on,
     their ~190k allocations on a large spec trigger hundreds of collections
-    that only rescan them.  The collector is switched back on only if it was on at
-    entry, so a thread that enters while another holds the pause never
-    leaves it off.  One young-generation collection is left: the first
-    allocation after the collector is back on starts it, before
-    ``synthesize`` returns, and it scans every object allocated in the
-    block that is still alive, the returned encoding among them (6-9 ms of
-    a 36-58 ms ``synthesize`` on S2, 2 vCPUs).
+    that only rescan them.  The collector is switched back on only if it was
+    on at entry, so a thread that enters while another holds the pause never
+    leaves it off.
+
+    A synthesis result is allocated in bulk, acyclic and long-lived, the
+    opposite of what a young generation is for.  So when the collector is on
+    and the caller has frozen nothing, the caller's young objects are
+    collected first (``gc.collect(1)``, as a young collection would), and at
+    exit ``gc.freeze()`` then ``gc.unfreeze()`` move every survivor to the
+    oldest generation in O(1) and zero the young count.  Without that, the
+    first allocation after the collector is back on starts a young
+    collection that rescans the returned encoding (6-12 ms of a 34-74 ms
+    ``synthesize`` on S2, 2 vCPUs).  A caller that froze objects keeps them
+    frozen: the promotion is skipped, and so is the entry collection.
     """
     was = gc.isenabled()
+    promote = was and gc.get_freeze_count() == 0
+    if promote:
+        gc.collect(1)
     gc.disable()
     try:
         yield
     finally:
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
         if was:
             gc.enable()
 
@@ -121,7 +135,11 @@ def synthesize(spec: ResolvedSpec, scope: Scope | None = None,
     :func:`cncsynth.encoder.compute_scope`).
 
     Python's cyclic garbage collector is paused for the whole call and the
-    caller's setting is restored on return or raise."""
+    caller's setting is restored on return or raise.  With the collector on
+    and nothing frozen by the caller, the caller's young objects are
+    collected on entry and everything alive at exit, the result among it,
+    goes to the oldest generation, so no young collection rescans it (see
+    ``_gc_paused``)."""
     with _gc_paused():
         enc = encode(spec, scope)
         result = solve(enc.cnf, config)

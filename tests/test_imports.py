@@ -98,14 +98,14 @@ def test_unreferenced_private_functions_finds_a_dead_helper():
     assert unreferenced_private_functions({"a.py": a, "b.py": b}) == ["a.py:4 _dead", "a.py:8 _gone"]
 
 
-GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+GC_SWITCHES = {"collect", "disable", "enable", "freeze", "set_threshold", "unfreeze"}
 
 
 def gc_switches_outside(sources: dict[str, str], helper: tuple[str, str]) -> list[str]:
-    """Uses of ``gc.disable``, ``gc.enable``, ``gc.freeze`` and
-    ``gc.set_threshold`` (through ``import gc``, an alias of it, or
-    ``from gc import``) anywhere but in the function ``helper`` names as
-    ``(module, function)``."""
+    """Uses of ``gc.collect``, ``gc.disable``, ``gc.enable``, ``gc.freeze``,
+    ``gc.set_threshold`` and ``gc.unfreeze`` (through ``import gc``, an alias
+    of it, or ``from gc import``) anywhere but in the function ``helper``
+    names as ``(module, function)``."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -130,17 +130,22 @@ def gc_switches_outside(sources: dict[str, str], helper: tuple[str, str]) -> lis
 
 def test_only_the_pause_helper_switches_gc():
     # A second path that turns the collector off could leave it off in the
-    # host program; synth._gc_paused restores the caller's setting.
+    # host program, and one that collects or promotes objects could undo a
+    # caller's freeze; synth._gc_paused restores the caller's setting and
+    # leaves frozen objects frozen.
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert gc_switches_outside(sources, ("synth.py", "_gc_paused")) == []
 
 
 def test_gc_switches_outside_finds_a_second_path():
-    a = ("import gc\nimport gc as g\n\ndef _pause():\n    gc.disable()\n    gc.enable()\n\n"
-         "def solve():\n    gc.isenabled()\n    g.freeze()\n    f = gc.set_threshold\n")
-    b = "from gc import collect, disable\n\ndef _pause():\n    disable()\n"
+    a = ("import gc\nimport gc as g\n\ndef _pause():\n    gc.collect(1)\n    gc.disable()\n"
+         "    gc.freeze()\n    gc.unfreeze()\n    gc.enable()\n\n"
+         "def solve():\n    gc.isenabled()\n    g.freeze()\n    f = gc.set_threshold\n"
+         "    g.unfreeze()\n    gc.collect()\n    gc.get_freeze_count()\n")
+    b = "from gc import collect, disable, unfreeze\n\ndef _pause():\n    disable()\n"
     assert gc_switches_outside({"a.py": a, "b.py": b}, ("a.py", "_pause")) == [
-        "a.py:10 gc.freeze", "a.py:11 gc.set_threshold", "b.py:1 gc.disable"]
+        "a.py:13 gc.freeze", "a.py:14 gc.set_threshold", "a.py:15 gc.unfreeze",
+        "a.py:16 gc.collect", "b.py:1 gc.collect", "b.py:1 gc.disable", "b.py:1 gc.unfreeze"]
 
 
 def test_importing_the_cli_loads_no_process_modules():

@@ -303,6 +303,20 @@ def test_iter_assignments_rejects_empty_projection():
         iter_assignments(CnfInstance(2, ((1, 2),)), projection=[])
 
 
+@pytest.mark.parametrize("entry", [5, 0, -1])
+def test_iter_assignments_rejects_a_projection_entry_outside_the_formula(entry):
+    # Unchecked, 5 raised a bare IndexError after the first answer, 0 gave one
+    # answer then UNSAT, and -1 gave two answers.
+    with pytest.raises(ValueError, match=rf"projection entry {entry} is not a variable .*\(1\.\.2\)"):
+        iter_assignments(CnfInstance(2, ((1, 2),)), projection=[1, entry, 7])
+
+
+def test_iter_assignments_deduplicates_a_repeated_projection_entry():
+    results = list(iter_assignments(CnfInstance(2, ((1, 2),)), projection=[2, 1, 2]))
+    assert [r.status for r in results] == [SAT, SAT, SAT, UNSAT]
+    assert len({(r.assignment[1], r.assignment[2]) for r in results[:3]}) == 3
+
+
 # --- the search is pinned: a change to the solver's bookkeeping must not move
 # a single decision ------------------------------------------------------------
 

@@ -215,3 +215,50 @@ def test_synthesize_solves_with_gc_paused(restore_gc, monkeypatch):
                      scope_hints=ScopeHints(ports=0, extra_names=0))
     assert synthesize(spec).outcome is SynthOutcome.SAT
     assert seen == [False] and gc.isenabled()
+
+
+@pytest.fixture
+def gc_probe():
+    """The (phase, generation) of every collection while the test runs."""
+    seen = []
+
+    def probe(phase, info):
+        seen.append((phase, info["generation"]))
+
+    gc.callbacks.append(probe)
+    yield seen
+    gc.callbacks.remove(probe)
+
+
+def test_synthesize_starts_no_young_collection(restore_gc, gc_probe):
+    # The result is promoted to the oldest generation before the collector is
+    # back on; otherwise the first allocation after that starts a young
+    # collection that rescans the whole encoding (6-12 ms on S2).
+    spec = load_spec(str(RJ / "S2.cncspec"))
+    gc.enable()
+    gc_probe.clear()
+    result = synthesize(spec)
+    assert result.outcome is SynthOutcome.UNSAT
+    assert ("start", 0) not in gc_probe
+    assert any(o is result.encoding for o in gc.get_objects(generation=2))
+
+
+def test_synthesize_leaves_a_callers_freeze_alone(restore_gc):
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        spec = tiny_spec({"V": "component A { component B; }"}, Var("V"),
+                         scope_hints=ScopeHints(ports=0, extra_names=0))
+        assert synthesize(spec).outcome is SynthOutcome.SAT
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_synthesize_collects_nothing_with_the_collector_off(restore_gc, gc_probe):
+    spec = load_spec(str(RJ / "S2.cncspec"))
+    gc.disable()
+    gc_probe.clear()
+    assert synthesize(spec).outcome is SynthOutcome.UNSAT
+    assert gc_probe == [] and not gc.isenabled()
