@@ -1,6 +1,6 @@
-"""Polynomial-time satisfaction checking: model vs. view, and model vs. full
-specification (including styles, library components, and interface
-completeness)."""
+"""Polynomial-time satisfaction checking: model vs. view, judged element by
+element of :attr:`CncView.elements`, and model vs. full specification
+(including styles, library components, and interface completeness)."""
 
 from __future__ import annotations
 
@@ -31,12 +31,18 @@ class IllFormedModelError(Exception):
 
 @dataclass(frozen=True)
 class ViewViolation:
-    kind: str  # MISSING_TYPE | MISSING_COMPONENT | CONTAINMENT | INDEPENDENCE | PORT_MISMATCH | NO_CHAIN
+    kind: str  # one of REPORT_ORDER, for the kind of view element broken
     subject: str
     explanation: str
 
     def __str__(self) -> str:
         return f"{self.kind} {self.subject}: {self.explanation}"
+
+
+# The kinds of view violation, in the order a view's violations are
+# reported; CONTAINMENT and INDEPENDENCE share a place.
+REPORT_ORDER = {"MISSING_TYPE": 0, "MISSING_COMPONENT": 1, "PORT_MISMATCH": 2,
+                "CONTAINMENT": 3, "INDEPENDENCE": 3, "NO_CHAIN": 4}
 
 
 @dataclass(frozen=True)
@@ -45,19 +51,10 @@ class SatisfactionResult:
     violations: tuple[ViewViolation, ...]
 
 
-def _endpoint_ports(m: CncModel, cmp: str, port_name: str | None, port_type: str | None) -> list[PortRef]:
-    """Model ports of ``cmp`` admissible as a chain endpoint."""
-    c = m.by_name.get(cmp)
-    if c is None:
-        return []
-    out = []
-    for p in c.ports:
-        if port_name is not None and p.name != port_name:
-            continue
-        if port_type is not None and p.type != port_type:
-            continue
-        out.append(PortRef(cmp, p.name))
-    return out
+def _endpoint_ports(c: Component, port_name: str | None, port_type: str | None) -> list[PortRef]:
+    """Ports of model component ``c`` admissible as a chain endpoint."""
+    return [PortRef(c.name, p.name) for p in c.ports
+            if port_name in (None, p.name) and port_type in (None, p.type)]
 
 
 def _has_port(c: Component, p: Port) -> bool:
@@ -88,52 +85,33 @@ def satisfies(m: CncModel, v: CncView) -> SatisfactionResult:
 
 
 def _judge_view(m: CncModel, v: CncView) -> SatisfactionResult:
-    """:func:`satisfies` for a model already validated."""
+    """:func:`satisfies` for a model already validated: one violation per
+    element of :attr:`CncView.elements` that ``m`` lacks, but none for an
+    element on a component that ``m`` lacks (its MISSING_COMPONENT says
+    so), reported grouped by kind in :data:`REPORT_ORDER`."""
     violations: list[ViewViolation] = []
-    for t in sorted(v.types):
-        if t not in m.types:
-            violations.append(ViewViolation("MISSING_TYPE", t, "type not present in the model"))
-    for c in v.components:
-        if c.name not in m.by_name:
-            violations.append(ViewViolation("MISSING_COMPONENT", c.name, "component not present in the model"))
-
-    # Ports: every view port must occur on the same component with the same
-    # name and direction; an unknown type matches any model type.
-    for c in v.components:
-        mc = m.by_name.get(c.name)
-        if mc is None:
-            continue
-        for p in c.ports:
-            if not _has_port(mc, p):
+    report = violations.append
+    for e in v.elements:
+        match e:
+            case ("type", t) if t not in m.types:
+                report(ViewViolation("MISSING_TYPE", t, "type not present in the model"))
+            case ("component", c) if c not in m.by_name:
+                report(ViewViolation("MISSING_COMPONENT", c, "component not present in the model"))
+            case ("port", c, p) if c in m.by_name and not _has_port(m.by_name[c], p):
                 want = p.type if p.type is not None else "?"
-                violations.append(ViewViolation(
-                    "PORT_MISMATCH", f"{c.name}.{p.name}",
-                    f"model has no {p.direction.value} port {p.name!r} of type {want}"))
-
-    # Containment biconditional over all pairs of view components.
-    names = [c.name for c in v.components]
-    for a in names:
-        for b in names:
-            if a == b or a not in m.by_name or b not in m.by_name:
-                continue
-            in_view = (a, b) in v.contains
-            in_model = (a, b) in m.contains
-            if in_view and not in_model:
-                violations.append(ViewViolation("CONTAINMENT", f"{a} > {b}",
-                                                "view containment not realized in the model"))
-            elif not in_view and in_model:
-                violations.append(ViewViolation("INDEPENDENCE", f"{a} > {b}",
-                                                "model nests components the view keeps independent"))
-
-    for ac in v.abs_connectors:
-        if ac.src_cmp not in m.by_name or ac.tgt_cmp not in m.by_name:
-            continue
-        sources = _endpoint_ports(m, ac.src_cmp, ac.src_port, ac.src_type)
-        targets = _endpoint_ports(m, ac.tgt_cmp, ac.tgt_port, ac.tgt_type)
-        if not any((p, q) in m.reaches for p in sources for q in targets):
-            violations.append(ViewViolation("NO_CHAIN", str(ac),
-                                            "no connector chain realizes the abstract connector"))
-
+                report(ViewViolation("PORT_MISMATCH", f"{c}.{p.name}",
+                                     f"model has no {p.direction.value} port {p.name!r} of type {want}"))
+            case ("nested", a, b) if a in m.by_name and b in m.by_name and (a, b) not in m.contains:
+                report(ViewViolation("CONTAINMENT", f"{a} > {b}", "view containment not realized in the model"))
+            case ("independent", a, b) if a in m.by_name and b in m.by_name and (a, b) in m.contains:
+                report(ViewViolation("INDEPENDENCE", f"{a} > {b}",
+                                     "model nests components the view keeps independent"))
+            case ("connector", ac) if ac.src_cmp in m.by_name and ac.tgt_cmp in m.by_name:
+                sources = _endpoint_ports(m.by_name[ac.src_cmp], ac.src_port, ac.src_type)
+                targets = _endpoint_ports(m.by_name[ac.tgt_cmp], ac.tgt_port, ac.tgt_type)
+                if not any((p, q) in m.reaches for p in sources for q in targets):
+                    report(ViewViolation("NO_CHAIN", str(ac), "no connector chain realizes the abstract connector"))
+    violations.sort(key=lambda x: REPORT_ORDER[x.kind])
     return SatisfactionResult(not violations, tuple(violations))
 
 

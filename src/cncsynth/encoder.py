@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from cncsynth.model import (
+    AbstractConnector,
     CncModel,
-    CncView,
     Component,
     Connector,
     Direction,
@@ -501,8 +501,7 @@ class _Encoder:
             conj.append(self.ptype[p][t])
         return self.and_var(("endsel", c, n, t, p), conj)
 
-    def _abs_conn_ok(self, view: CncView, idx: int) -> int:
-        ac = view.abs_connectors[idx]
+    def _abs_conn_ok(self, ac: AbstractConnector) -> int:
         key = ("acok", ac.src_cmp, ac.src_port, ac.src_type, ac.tgt_cmp, ac.tgt_port, ac.tgt_type)
         if (v := self.vm.get(*key)) is not None:
             return v
@@ -523,26 +522,27 @@ class _Encoder:
                     lits.append(v)
         return self.or_var(key, lits)
 
+    def _element_lit(self, e: tuple) -> int:
+        """The literal that holds iff the model has view element ``e``."""
+        match e:
+            case ("type", t):
+                return self._type_present(t)
+            case ("component", c):
+                return self.ex[c]
+            case ("port", c, port):
+                return self._port_ok(c, port)
+            case ("nested", a, b):
+                return self.subt[a][b]
+            case ("independent", a, b):
+                return -self.subt[a][b]
+            case ("connector", ac):
+                return self._abs_conn_ok(ac)
+        raise ValueError(f"unknown view element {e!r}")
+
     def _views(self) -> None:
         self.begin("views")
         for name in sorted(self.spec.views):
-            view = self.spec.views[name]
-            conjuncts: list[int] = []
-            for t in sorted(view.types):
-                conjuncts.append(self._type_present(t))
-            for c in view.components:
-                conjuncts.append(self.ex[c.name])
-                for port in c.ports:
-                    conjuncts.append(self._port_ok(c.name, port))
-            cnames = [c.name for c in view.components]
-            for a in cnames:
-                for b in cnames:
-                    if a == b:
-                        continue
-                    lit = self.subt[a][b]
-                    conjuncts.append(lit if (a, b) in view.contains else -lit)
-            for i in range(len(view.abs_connectors)):
-                conjuncts.append(self._abs_conn_ok(view, i))
+            conjuncts = [self._element_lit(e) for e in self.spec.views[name].elements]
             v = self.view[name]
             for l in conjuncts:
                 self.add(-v, l)

@@ -204,6 +204,10 @@ class CncView:
         unknown = sorted(self.interface_complete.difference(self.by_name))
         if unknown:
             raise ValueError(f"view {self.name!r} marks unknown component {unknown[0]!r} interface-complete")
+        ends = {c for ac in self.abs_connectors for c in (ac.src_cmp, ac.tgt_cmp)}
+        unknown = sorted(ends.difference(self.by_name))
+        if unknown:
+            raise ValueError(f"view {self.name!r} connects unknown component {unknown[0]!r}")
 
     @cached_property
     def types(self) -> frozenset[str]:
@@ -219,6 +223,22 @@ class CncView:
     def contains(self) -> frozenset[tuple[str, str]]:
         """Transitive closure of the view's declared containment edges."""
         return transitive_closure({c.name: c.subcomponents for c in self.components})
+
+    @cached_property
+    def elements(self) -> tuple[tuple, ...]:
+        """What a model must have to satisfy the view, one tagged element
+        each, in this order: ``("type", t)`` for each type (sorted); for each
+        component, ``("component", c)`` then ``("port", c, port)`` for each
+        of its ports; ``("nested", a, b)`` or ``("independent", a, b)`` for
+        each ordered pair of distinct components, as the view does or does
+        not nest ``b`` in ``a``; and ``("connector", ac)`` for each abstract
+        connector.  The encoder and the checker both read this list."""
+        out = [("type", t) for t in sorted(self.types)]
+        for c in self.components:
+            out += [("component", c.name), *(("port", c.name, p) for p in c.ports)]
+        out += [("nested" if (a, b) in self.contains else "independent", a, b)
+                for a in self.by_name for b in self.by_name if a != b]
+        return (*out, *(("connector", ac) for ac in self.abs_connectors))
 
 
 def transitive_closure(edges: Mapping[T, Iterable[T]]) -> frozenset[tuple[T, T]]:

@@ -84,6 +84,30 @@ def test_independence_violation():
     assert kinds(res) == {"INDEPENDENCE"}
 
 
+def test_violations_are_reported_grouped_by_kind_in_a_fixed_order():
+    # View elements come per component (Body, its port, then Ghost) and per
+    # pair (Body > Limiter before Sensor > Limiter); the report groups them
+    # by kind, with CONTAINMENT and INDEPENDENCE sharing one place.
+    v = parse_view("""
+        component Body { port in bool bin; }
+        component Ghost;
+        component Joint;
+        component Sensor { component Limiter; }
+        connect Sensor -> Joint;
+    """, name="V")
+    assert [str(x) for x in satisfies(MODEL, v).violations] == [
+        "MISSING_TYPE bool: type not present in the model",
+        "MISSING_COMPONENT Ghost: component not present in the model",
+        "PORT_MISMATCH Body.bin: model has no in port 'bin' of type bool",
+        "INDEPENDENCE Body > Limiter: model nests components the view keeps independent",
+        "INDEPENDENCE Joint > Body: model nests components the view keeps independent",
+        "INDEPENDENCE Joint > Limiter: model nests components the view keeps independent",
+        "INDEPENDENCE Joint > Sensor: model nests components the view keeps independent",
+        "CONTAINMENT Sensor > Limiter: view containment not realized in the model",
+        "NO_CHAIN Sensor -> Joint: no connector chain realizes the abstract connector",
+    ]
+
+
 def test_transitive_view_containment_is_satisfied():
     # View nests Limiter directly in Joint; the model interposes Body.
     v = parse_view("component Joint { component Limiter; }", name="V")

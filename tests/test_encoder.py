@@ -41,7 +41,7 @@ from cncsynth.model import (
     validate_model,
 )
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
-from cncsynth.speclang import And, Or, ScopeHints, Var, ViewSpec, evaluate_formula, resolve
+from cncsynth.speclang import And, Not, Or, ScopeHints, Var, ViewSpec, evaluate_formula, resolve
 from cncsynth.synth import SynthOutcome, enumerate_models, synthesize
 
 
@@ -146,7 +146,7 @@ SCOPE = Scope(("A", "B"), 2, ("p", "q"), ("t",))
 
 def all_scope_models(scope: Scope = SCOPE):
     """Every well-formed single-top model over ``scope`` (components A and
-    B), by brute force."""
+    B, or one of them alone), by brute force."""
     port_options = [None] + [
         (owner, name, d, t)
         for owner in scope.components
@@ -156,18 +156,19 @@ def all_scope_models(scope: Scope = SCOPE):
     ]
     key = lambda opt: (opt[0], opt[1], opt[2].value, opt[3])
     models = set()
-    for parent, child in (("A", "B"), ("B", "A")):
+    for parent, child in (("A", "B"), ("B", "A"), ("A", None), ("B", None)):
         for chosen in itertools.combinations_with_replacement(port_options, scope.ports):
             ports = {c for c in chosen if c is not None}
+            if any(owner not in (parent, child) for owner, _, _, _ in ports):
+                continue
             by_owner: dict[str, list[Port]] = {"A": [], "B": []}
             for owner, name, d, t in sorted(ports, key=key):
                 by_owner[owner].append(Port(name, d, t))
             if any(len({p.name for p in ps}) != len(ps) for ps in by_owner.values()):
                 continue
-            comps = [
-                Component(parent, tuple(by_owner[parent]), frozenset({child})),
-                Component(child, tuple(by_owner[child])),
-            ]
+            comps = [Component(parent, tuple(by_owner[parent]), frozenset({child} - {None}))]
+            if child is not None:
+                comps.append(Component(child, tuple(by_owner[child])))
             refs = [PortRef(o, n) for (o, n, _, _) in sorted(ports, key=key)]
             pairs = [(s, t) for s in refs for t in refs if s != t]
             for k in range(len(pairs) + 1):
@@ -180,12 +181,29 @@ def all_scope_models(scope: Scope = SCOPE):
 
 LIB_B = (Component("B", (Port("q", Direction.OUT, "t"),)),)
 
+# One view per kind of view element, each under both polarities, so that
+# every element literal is checked both ways.
+ELEMENT_VIEWS = [
+    "component A { port in t p; }",                                     # a typed port and its type
+    "component B { port out ? q; }",                                    # an untyped port
+    "component A { component B; }",                                     # a nesting
+    "component A; component B;",                                        # an independence
+    "component A { component B { port in t p; } } connect A -> B.p;",   # a connector to a named port
+]
+
 TINY_SPECS = [
     spec_of("component A { component B; }"),
     spec_of("<<interface-complete>> component A { port in t p; component B; }"),
     spec_of("<<interface-complete>> component A { port out ? q; component B; }"),
     spec_of("component A { component B; }", library=LIB_B),
+    *(resolve(ViewSpec("s", (parse_view(text, name="V"),), formula))
+      for text in ELEMENT_VIEWS for formula in (Var("V"), Not(Var("V")))),
 ]
+
+
+def test_all_scope_models_include_one_component_models():
+    names = {tuple(c.name for c in m.components) for m in all_scope_models()}
+    assert names == {("A",), ("B",), ("A", "B")}
 
 
 def test_enumeration_is_sound_and_complete_on_tiny_scope():
@@ -194,9 +212,10 @@ def test_enumeration_is_sound_and_complete_on_tiny_scope():
         expected = {m for m in scope_models if evaluate_spec(m, spec).overall}
         got = list(enumerate_models(spec, scope=SCOPE))
         assert len(got) == len(set(got)), "enumerated models must be pairwise distinct"
-        assert set(got) == expected
+        assert set(got) == expected, spec.formula
+        negated = isinstance(spec.formula, Not)
         for m in got:
-            assert oracle_satisfies(m, spec.views["V"])
+            assert oracle_satisfies(m, spec.views["V"]) != negated
 
 
 def test_enumeration_completeness_with_abstract_connector():

@@ -58,6 +58,33 @@ def test_view_rejects_a_mark_on_an_unknown_component():
         CncView("V", (mk("A"),), interface_complete={"Ghost"})
 
 
+def test_view_rejects_a_connector_on_an_unknown_component():
+    nest = (mk("A", subs={"B"}), mk("B"))
+    assert CncView("V", nest, (AbstractConnector("A", "B"),)).abs_connectors == (AbstractConnector("A", "B"),)
+    with pytest.raises(ValueError, match="view 'V' connects unknown component 'X'"):
+        CncView("V", nest, (AbstractConnector("A", "X"),))
+    with pytest.raises(ValueError, match="connects unknown component 'X'"):
+        CncView("V", (mk("A"),), (AbstractConnector("X", "A", "p"),))
+
+
+def test_view_elements_in_encoder_order():
+    # Types first, then each component followed by its ports, then every
+    # ordered pair of distinct components, then the abstract connectors.
+    pin, qout = Port("p", IN, "int"), Port("q", OUT, None)
+    ac = AbstractConnector("B", "C", "q")
+    v = CncView("V", (mk("C"), mk("B", [qout]), mk("A", [pin], {"B"})), (ac,))
+    assert v.elements == (
+        ("type", "int"),
+        ("component", "A"), ("port", "A", pin),
+        ("component", "B"), ("port", "B", qout),
+        ("component", "C"),
+        ("nested", "A", "B"), ("independent", "A", "C"),
+        ("independent", "B", "A"), ("independent", "B", "C"),
+        ("independent", "C", "A"), ("independent", "C", "B"),
+        ("connector", ac),
+    )
+
+
 def test_tops_and_parent_map():
     m = well_formed_sample()
     assert m.tops == ("Top",)
