@@ -219,7 +219,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce3sat(args: argparse.Namespace) -> int:
-    f = Cnf3Formula.from_dimacs(_read(args.cnf))
+    text = _read(args.cnf)
+    try:
+        f = Cnf3Formula.from_dimacs(text)
+    except SolverError as exc:
+        raise CliError(f"{args.cnf}: {exc}") from None
     if args.out_dir:
         spec = reduce_3sat(f)
         outd = Path(args.out_dir)

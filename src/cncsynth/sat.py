@@ -5,18 +5,18 @@ The internal solver is complete and deterministic: it decides by variable
 activity with ascending-index tie-breaking and phase saving, learns 1UIP
 clauses, and restarts on a Luby schedule.  Structural variables are
 allocated first by the encoder, so initial decisions start in the
-structural core.  As in MiniSat (Een & Sorensson, SAT 2003), the order heap
-holds one current entry per variable: backtracking pushes a variable only
-when it has none.  The formula's clauses reach the solver through one
-loader, ``_Cdcl.add_clauses``, and every clause that the trail falsifies,
-learnt or blocking, through one assertion path, ``_Cdcl._learn``.  Like
-the root simplification that MiniSat makes before it searches, the loader
-propagates the units and binary clauses alone first: a conflict there
-refutes the formula before a longer clause is fully normalized or a watch
-list built, so a root refutation costs what its units and binary clauses
-cost, and no conflict leaves no trace, so the search is the one it would
-have been.  An external solver, ``_External``, takes clauses through the
-same interface.
+structural core.  As in MiniSat (Een & Sorensson, SAT 2003), the solver
+reads its literal arrays as ``x[lit]``, and the order heap holds one
+current entry per variable: backtracking pushes a variable only when it has
+none.  The formula's clauses reach the solver through one loader,
+``_Cdcl.add_clauses``, and every clause that the trail falsifies, learnt or
+blocking, through one assertion path, ``_Cdcl._learn``.  Like the root
+simplification that MiniSat makes before it searches, the loader propagates
+the units and binary clauses alone first: a conflict there refutes the
+formula before a longer clause is fully normalized or a watch list built,
+so a root refutation costs what its units and binary clauses cost, and no
+conflict leaves no trace, so the search is the one it would have been.  An
+external solver, ``_External``, takes clauses through the same interface.
 ``solve`` and ``iter_assignments`` share one loop, ``_answers``, for both
 engines, and its one deadline bounds the whole loop, every solve call
 included.  It checks every SAT answer before returning it, as strictly as
@@ -54,7 +54,9 @@ from typing import Iterator
 class CnfInstance:
     """An immutable CNF formula.  ``comments`` are carried into DIMACS output;
     ``groups`` map clause index ranges to the constraint group that produced
-    them."""
+    them.  Every literal must lie in ``±1..num_vars``, or the internal
+    solver answers wrongly: ``parse_dimacs`` checks that, but ``solve`` does
+    not, as a pass over a large encoding's literals costs about its verdict."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
@@ -189,10 +191,15 @@ class _Cdcl:
 
     Decisions are deterministic: they follow exponential variable activities
     with ties broken by ascending variable index, so a given formula always
-    produces the same run.  A ``solve`` that follows a SAT answer resumes
-    warm, from the activities and saved phases that found it, and at the
-    level that ``add_blocking_clause`` backjumped to: the trail below that
-    level is kept, so its decisions and propagations are not made again.
+    produces the same run.  A ``solve`` after a blocking clause resumes
+    warm, from the activities and saved phases that found the blocked
+    answer, and at the level that ``add_blocking_clause`` backjumped to: the
+    trail below that level is kept, so its decisions and propagations are
+    not made again.
+
+    The literal arrays ``val``, ``bin_imp`` and ``watches`` have 2n+1 slots,
+    indexed by the literal itself: ``x[-v]`` counts from the end.  A literal
+    outside ``±1..n`` would read another literal's slot.
 
     The order heaps hold ``(-activity, var)`` entries: ``heap`` for every
     variable of a plain solve, and once an enumeration has blocked its first
@@ -220,18 +227,17 @@ class _Cdcl:
     """
 
     def __init__(self, num_vars: int, limits: SolverLimits, deadline: float | None = None):
-        nv = num_vars
-        self.nv = nv
-        # val[lit + nv]: 1 if the literal is true, -1 false, 0 unassigned.
+        self.nv = nv = num_vars
+        # val[lit]: 1 if the literal is true, -1 false, 0 unassigned.
         self.val = [0] * (2 * nv + 1)
         self.level = [0] * (nv + 1)
         # reason[v]: None (decision/unit), an int ``other`` meaning the binary
         # clause (implied, other), or the full clause as a list.
         self.reason: list = [None] * (nv + 1)
         self.phase = [True] * (nv + 1)
-        # bin_imp[lit + nv]: literals implied when ``lit`` becomes true.
+        # bin_imp[lit]: literals implied when ``lit`` becomes true.
         self.bin_imp: list[list[int]] = [[] for _ in range(2 * nv + 1)]
-        # watches[lit + nv]: (blocker, clause) for each clause watching lit.
+        # watches[lit]: (blocker, clause) for each clause watching lit.
         # Empty tuples until add_clauses attaches the longer clauses: the
         # root check before that reads no watch.
         self.watches: list = [()] * (2 * nv + 1)
@@ -257,7 +263,6 @@ class _Cdcl:
         self.deadline = deadline
         self.stats = SolveStats()
         self.ok = True
-        self.warm_start = False
         # Set by the first blocking clause: from then on, projection first.
         self.projection_first = False
 
@@ -280,7 +285,6 @@ class _Cdcl:
         the units; then the watch lists are built and the longer clauses
         normalized and attached in the order they came, so the search runs
         as if the check had never been made."""
-        nv = self.nv
         bin_imp = self.bin_imp
         longer = []
         defer = longer.append
@@ -289,8 +293,8 @@ class _Cdcl:
             if n == 2:
                 a, b = c
                 if a != b and a != -b:
-                    bin_imp[nv - a].append(b)
-                    bin_imp[nv - b].append(a)
+                    bin_imp[-a].append(b)
+                    bin_imp[-b].append(a)
                     continue
             elif n == 3:
                 a, b, d = c
@@ -311,8 +315,8 @@ class _Cdcl:
                 defer(c)
             elif len(c) == 2:
                 a, b = c
-                bin_imp[nv - a].append(b)
-                bin_imp[nv - b].append(a)
+                bin_imp[-a].append(b)
+                bin_imp[-b].append(a)
             elif not (c and self.enqueue(c[0], None)):
                 self.ok = False
         if not self.ok:
@@ -328,7 +332,7 @@ class _Cdcl:
             return
         self.qhead = 0
         self.stats.propagations = propagations
-        self.watches = watches = [[] for _ in range(2 * nv + 1)]
+        self.watches = watches = [[] for _ in bin_imp]
         for c in longer:
             n = len(c)
             if n > 3 and len(set(map(abs, c))) != n:
@@ -337,8 +341,8 @@ class _Cdcl:
                     continue
             else:
                 c = list(c)
-            watches[c[0] + nv].append((c[1], c))
-            watches[c[1] + nv].append((c[0], c))
+            watches[c[0]].append((c[1], c))
+            watches[c[1]].append((c[0], c))
 
     def add_blocking_clause(self, lits: tuple[int, ...]) -> None:
         """Block the last SAT answer: ``lits`` negates its value on every
@@ -395,31 +399,29 @@ class _Cdcl:
             self.cancel_until(0)
             self.enqueue(a, None)
             return
-        nv = self.nv
         b = c[1]
         top, second = self.level[abs(a)], self.level[abs(b)]
         self.cancel_until(second if top > second else top - 1)
         if len(c) == 2:
-            self.bin_imp[nv - a].append(b)
-            self.bin_imp[nv - b].append(a)
+            self.bin_imp[-a].append(b)
+            self.bin_imp[-b].append(a)
             reason = b
         else:
-            self.watches[a + nv].append((b, c))
-            self.watches[b + nv].append((a, c))
+            self.watches[a].append((b, c))
+            self.watches[b].append((a, c))
             reason = c
         if top > second:
             self.enqueue(a, reason)
 
     def enqueue(self, lit: int, reason) -> bool:
-        nv = self.nv
-        v = self.val[lit + nv]
+        v = self.val[lit]
         if v == 1:
             return True
         if v == -1:
             return False
         var = lit if lit > 0 else -lit
-        self.val[lit + nv] = 1
-        self.val[-lit + nv] = -1
+        self.val[lit] = 1
+        self.val[-lit] = -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -427,7 +429,6 @@ class _Cdcl:
 
     def propagate(self):
         """Unit propagation; returns a conflicting clause (list) or None."""
-        nv = self.nv
         val = self.val
         level = self.level
         reason = self.reason
@@ -440,12 +441,12 @@ class _Cdcl:
             p = trail[self.qhead]
             self.qhead += 1
             props += 1
-            for q in bin_imp[p + nv]:
-                vq = val[q + nv]
+            for q in bin_imp[p]:
+                vq = val[q]
                 if vq == 0:
                     var = q if q > 0 else -q
-                    val[q + nv] = 1
-                    val[-q + nv] = -1
+                    val[q] = 1
+                    val[-q] = -1
                     level[var] = cur_level
                     reason[var] = -p
                     trail.append(q)
@@ -453,15 +454,14 @@ class _Cdcl:
                     self.stats.propagations += props
                     return [q, -p]
             false_lit = -p
-            widx = false_lit + nv
-            ws = watches[widx]
+            ws = watches[false_lit]
             keep = []
             i, n = 0, len(ws)
             while i < n:
                 w = ws[i]
                 i += 1
                 blocker = w[0]
-                if val[blocker + nv] > 0:
+                if val[blocker] > 0:
                     keep.append(w)
                     continue
                 c = w[1]
@@ -469,17 +469,17 @@ class _Cdcl:
                     c[0] = c[1]
                     c[1] = false_lit
                 first = c[0]
-                fv = val[first + nv]
+                fv = val[first]
                 if fv > 0:
                     keep.append((first, c))
                     continue
                 moved = False
                 for k in range(2, len(c)):
                     ck = c[k]
-                    if val[ck + nv] >= 0:
+                    if val[ck] >= 0:
                         c[1] = ck
                         c[k] = false_lit
-                        watches[ck + nv].append((first, c))
+                        watches[ck].append((first, c))
                         moved = True
                         break
                 if moved:
@@ -487,16 +487,16 @@ class _Cdcl:
                 keep.append((first, c))
                 if fv < 0:
                     keep.extend(ws[i:])
-                    watches[widx] = keep
+                    watches[false_lit] = keep
                     self.stats.propagations += props
                     return c
                 var = first if first > 0 else -first
-                val[first + nv] = 1
-                val[-first + nv] = -1
+                val[first] = 1
+                val[-first] = -1
                 level[var] = cur_level
                 reason[var] = c
                 trail.append(first)
-            watches[widx] = keep
+            watches[false_lit] = keep
         self.stats.propagations += props
         return None
 
@@ -586,7 +586,7 @@ class _Cdcl:
         nv = self.nv
         activity = self.activity
         late = self.late
-        in_heap = self.in_heap = [False] + [x == 0 for x in self.val[nv + 1:]]
+        in_heap = self.in_heap = [False] + [x == 0 for x in self.val[1:nv + 1]]
         self.heap = [(-activity[v], v) for v in range(1, nv + 1) if in_heap[v] and not late[v]]
         self.late_heap = [(-activity[v], v) for v in range(1, nv + 1) if in_heap[v] and late[v]]
         heapq.heapify(self.heap)
@@ -595,7 +595,6 @@ class _Cdcl:
     def cancel_until(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
             return
-        nv = self.nv
         val = self.val
         phase = self.phase
         reason = self.reason
@@ -611,8 +610,8 @@ class _Cdcl:
             lit = trail[k]
             var = lit if lit > 0 else -lit
             phase[var] = lit > 0
-            val[lit + nv] = 0
-            val[-lit + nv] = 0
+            val[lit] = 0
+            val[-lit] = 0
             reason[var] = None
             if not in_heap[var]:
                 in_heap[var] = True
@@ -624,7 +623,6 @@ class _Cdcl:
     def _pick_branch_var(self) -> int:
         """Next decision variable, or 0 if all are assigned: a late one only
         once ``heap`` holds no unassigned variable."""
-        nv = self.nv
         val = self.val
         in_heap = self.in_heap
         activity = self.activity
@@ -635,7 +633,7 @@ class _Cdcl:
                 if -act != activity[v]:
                     continue  # older activity; any unassigned v has a current entry
                 in_heap[v] = False
-                if val[v + nv] == 0:
+                if val[v] == 0:
                     return v
         return 0
 
@@ -669,7 +667,6 @@ class _Cdcl:
 
     def solve(self) -> SolveResult:
         """Search on until an answer, the conflict limit or the deadline."""
-        warm, self.warm_start = self.warm_start, False
         if self.deadline is not None and time.monotonic() >= self.deadline:
             return SolveResult(RESOURCE_LIMIT, stats=self.stats)
         # A conflict found by propagation alone means UNSAT only at the root;
@@ -681,10 +678,8 @@ class _Cdcl:
         while True:
             decay, polarity = self.PORTFOLIO[seg % len(self.PORTFOLIO)]
             self.inv_decay = 1.0 / decay
-            # A continuation solve resumes at the level add_blocking_clause
-            # left, with the activities and saved phases that found the
-            # previous solution.
-            if not (warm and seg == 0):
+            # After a blocking clause the first segment resumes warm.
+            if not (self.projection_first and seg == 0):
                 self.cancel_until(0)
                 self.var_inc = 1.0
                 self.activity = [0.0] * (self.nv + 1)
@@ -692,7 +687,6 @@ class _Cdcl:
                 self._rebuild_heap()
             result = self._search(self.stats.conflicts + budget)
             if result is not None:
-                self.warm_start = result.status == SAT
                 return result
             seg += 1
             if seg % len(self.PORTFOLIO) == 0:
@@ -737,8 +731,7 @@ class _Cdcl:
                 continue
             v = self._pick_branch_var()
             if v == 0:
-                nv = self.nv
-                model = dict(zip(range(1, nv + 1), map((1).__eq__, self.val[nv + 1:])))
+                model = dict(enumerate(map((1).__eq__, self.val[1:self.nv + 1]), 1))
                 return SolveResult(SAT, model, self.stats)
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
@@ -901,10 +894,10 @@ def emit_dimacs(cnf: CnfInstance) -> str:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF (clauses may span lines; 'c' lines are kept as
-    comments)."""
+    comments).  A bad header or clause count, or a literal outside
+    ``±1..num_vars``, raises SolverError."""
     comments: list[str] = []
-    num_vars = None
-    declared_clauses = None
+    num_vars = declared_clauses = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for raw in text.splitlines():
@@ -919,6 +912,8 @@ def parse_dimacs(text: str) -> CnfInstance:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise SolverError(f"bad DIMACS header: {line!r}")
             num_vars, declared_clauses = int(parts[2]), int(parts[3])
+            if num_vars < 0 or declared_clauses < 0:
+                raise SolverError(f"negative count in DIMACS header: {line!r}")
             continue
         if line.startswith("%"):
             break
@@ -933,8 +928,12 @@ def parse_dimacs(text: str) -> CnfInstance:
         clauses.append(tuple(pending))
     if num_vars is None:
         raise SolverError("missing DIMACS header")
-    if declared_clauses is not None and declared_clauses != len(clauses):
+    if declared_clauses != len(clauses):
         raise SolverError(f"header declares {declared_clauses} clauses, found {len(clauses)}")
+    bad = next((l for c in clauses for l in c if not -num_vars <= l <= num_vars), None)
+    if bad is not None:
+        raise SolverError(f"literal {bad} is outside the variables 1..{num_vars} "
+                          f"of the DIMACS header 'p cnf {num_vars} {declared_clauses}'")
     return CnfInstance(num_vars, tuple(clauses), tuple(comments))
 
 

@@ -219,6 +219,28 @@ def test_reduce3sat_unsat(tmp_path):
     assert p.stdout.strip() == "s UNSATISFIABLE"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 -2 0\n", "missing DIMACS header"),
+    ("p cnf 2 3\n1 -2 0\n2 0\n", "header declares 3 clauses, found 2"),
+    ("p cnf 2 3\n1 3 0\n2 0\n-1 -2 0\n",
+     "literal 3 is outside the variables 1..2 of the DIMACS header 'p cnf 2 3'"),
+])
+def test_reduce3sat_malformed_dimacs_is_a_usage_error(tmp_path, text, message):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    p = run("reduce3sat", str(cnf))
+    assert p.returncode == 2
+    assert p.stderr == f"error: {cnf}: {message}\n"
+
+
+def test_reduce3sat_with_a_missing_solver_is_an_internal_error(tmp_path):
+    cnf, missing = tmp_path / "f.cnf", tmp_path / "no-such-solver"
+    cnf.write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+    p = run("reduce3sat", str(cnf), "--solver", str(missing))
+    assert p.returncode == 3
+    assert f"internal error: cannot run external solver {str(missing)!r}" in p.stderr
+
+
 def test_reduce3sat_out_dir_round_trips(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 2\n1 -2 0\n2 0\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 import subprocess
 import sys
 import time
@@ -96,15 +97,12 @@ def test_a_root_check_without_conflict_leaves_nothing_behind():
     # watch their first two literals as if no check had been made.
     cnf = CnfInstance(5, ((1,), (-1, 2), (-2, 3), (-3, 4, 5), (4,), (1, -4, 5)))
     solver = loaded(cnf)
-    nv = solver.nv
     assert solver.ok
     assert solver.trail == [1, 4] and solver.trail_lim == [] and solver.qhead == 0
-    assert [v for v in range(1, nv + 1) if solver.val[v + nv]] == [1, 4]
+    assert {l: solver.val[l] for l in literals(solver) if solver.val[l]} == {-4: -1, -1: -1, 1: 1, 4: 1}
     assert solver.stats.propagations == 0
     assert all(r is None for r in solver.reason)
-    assert {l: [c for _, c in solver.watches[l + nv]] for l in range(-nv, nv + 1)
-            if solver.watches[l + nv]} == {-3: [[-3, 4, 5]], 4: [[-3, 4, 5]],
-                                            1: [[1, -4, 5]], -4: [[1, -4, 5]]}
+    assert watched(solver) == {-3: [[-3, 4, 5]], 4: [[-3, 4, 5]], 1: [[1, -4, 5]], -4: [[1, -4, 5]]}
     result = solve(cnf)
     assert result.status == SAT and check_assignment(cnf, result.assignment)
 
@@ -169,12 +167,23 @@ def test_parse_dimacs_multiline_and_percent():
 
 
 def test_parse_dimacs_errors():
-    with pytest.raises(SolverError):
-        parse_dimacs("1 2 0\n")  # no header
-    with pytest.raises(SolverError):
-        parse_dimacs("p cnf 2 5\n1 0\n")  # wrong clause count
-    with pytest.raises(SolverError):
-        parse_dimacs("p dnf 2 1\n1 0\n")
+    for text, message in [
+        ("1 2 0\n", "missing DIMACS header"),
+        ("p cnf 2 5\n1 0\n", "header declares 5 clauses, found 1"),
+        ("p dnf 2 1\n1 0\n", "bad DIMACS header: 'p dnf 2 1'"),
+        ("p cnf -1 0\n", "negative count in DIMACS header: 'p cnf -1 0'"),
+        ("p cnf 2 -1\n", "negative count in DIMACS header: 'p cnf 2 -1'"),
+        ("p cnf 2 3\n1 3 0\n2 0\n-1 -2 0\n",
+         "literal 3 is outside the variables 1..2 of the DIMACS header 'p cnf 2 3'"),
+        ("p cnf 2 1\n-1 -4 0\n", "literal -4 is outside the variables 1..2 of the DIMACS header 'p cnf 2 1'"),
+        ("p cnf 0 1\n1 0\n", "literal 1 is outside the variables 1..0 of the DIMACS header 'p cnf 0 1'"),
+    ]:
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+            parse_dimacs(text)
+    # With its third variable declared, the first range case is SAT (x1 = F,
+    # x2 = T, x3 = T); loaded into two variables' arrays, (1, 3) would fall
+    # in literal 2's slot and the solver would answer UNSAT.
+    assert solve(parse_dimacs("p cnf 3 3\n1 3 0\n2 0\n-1 -2 0\n")).status == SAT
 
 
 def test_parse_dimacs_result():
@@ -404,9 +413,8 @@ def test_clause_loading_normalizes_clauses():
 def reference_load(solver: sat._Cdcl, clauses) -> None:
     """The previous loader, kept as the reference: it normalizes every
     clause and builds the watch lists before the root check runs."""
-    nv = solver.nv
     bin_imp = solver.bin_imp
-    solver.watches = [[] for _ in range(2 * nv + 1)]
+    solver.watches = [[] for _ in range(2 * solver.nv + 1)]
     longer = []
     defer = longer.append
     for c in clauses:
@@ -414,8 +422,8 @@ def reference_load(solver: sat._Cdcl, clauses) -> None:
         if n == 2:
             a, b = c
             if a != b and a != -b:
-                bin_imp[nv - a].append(b)
-                bin_imp[nv - b].append(a)
+                bin_imp[-a].append(b)
+                bin_imp[-b].append(a)
                 continue
         elif n == 3:
             a, b, d = c
@@ -433,8 +441,8 @@ def reference_load(solver: sat._Cdcl, clauses) -> None:
             defer(c)
         elif len(c) == 2:
             a, b = c
-            bin_imp[nv - a].append(b)
-            bin_imp[nv - b].append(a)
+            bin_imp[-a].append(b)
+            bin_imp[-b].append(a)
         elif not (c and solver.enqueue(c[0], None)):
             solver.ok = False
     if not solver.ok:
@@ -450,8 +458,8 @@ def reference_load(solver: sat._Cdcl, clauses) -> None:
     solver.stats.propagations = propagations
     watches = solver.watches
     for c in map(list, longer):
-        watches[c[0] + nv].append((c[1], c))
-        watches[c[1] + nv].append((c[0], c))
+        watches[c[0]].append((c[1], c))
+        watches[c[1]].append((c[0], c))
 
 
 def load_state(solver: sat._Cdcl) -> tuple:
@@ -465,11 +473,14 @@ def load_state(solver: sat._Cdcl) -> tuple:
 @st.composite
 def cnf_with_repeats(draw) -> CnfInstance:
     """Up to 5 variables and 12 clauses of 1 to 8 literals, so that repeated
-    and complementary literals fall at any position of a clause."""
+    and complementary literals fall at any position of a clause, and 0-2
+    unused variables above the highest one used, so that the top slots of
+    the solver's literal arrays are read empty."""
     n = draw(st.integers(1, 5))
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
     clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=8).map(tuple), max_size=12))
-    return CnfInstance(n, tuple(clauses))
+    top = max((abs(l) for c in clauses for l in c), default=0)
+    return CnfInstance(top + draw(st.integers(0, 2)), tuple(clauses))
 
 
 @settings(max_examples=400, deadline=None)
@@ -478,19 +489,30 @@ def cnf_with_repeats(draw) -> CnfInstance:
 @example(CnfInstance(3, ((1, 2, 3, -1),)))
 @example(CnfInstance(2, ((1, 1, 2, 2), (-1,), (-2,))))
 @example(CnfInstance(4, ((1, 2, 3, 4, 2), (-1,), (1, 2, 3, 4, -4), (2, 4))))
+@example(CnfInstance(3, ((-3, -3, -3, -3), (3, -3))))  # only ±num_vars: the two middle slots
+@example(CnfInstance(2, ((2, 2), (-2, -2, -2))))
+@example(CnfInstance(4, ((4, 4, -4, 4), (-4,), (4, 4, 4, 4, 4))))
 def test_loader_matches_the_reference_loader(cnf):
     # Deferring a longer clause's full test past the root check changes
     # nothing that the check or the search reads.
     solver, reference = loaded(cnf), sat._Cdcl(cnf.num_vars, SolverLimits())
     reference_load(reference, cnf.clauses)
     assert load_state(solver) == load_state(reference)
-    assert (solve(cnf).status == SAT) == truth_table_sat(cnf.num_vars, cnf.clauses)
+    result = solve(cnf)
+    assert (result.status == SAT) == truth_table_sat(cnf.num_vars, cnf.clauses)
+    if result.status == SAT:
+        # Every variable has a value, the unused ones too.
+        assert list(result.assignment) == list(range(1, cnf.num_vars + 1))
+
+
+def literals(solver: sat._Cdcl) -> range:
+    """Every literal of the solver's variables, ascending, with 0 between
+    the negative and the positive ones."""
+    return range(-solver.nv, solver.nv + 1)
 
 
 def watched(solver: sat._Cdcl) -> dict[int, list[list[int]]]:
-    nv = solver.nv
-    return {l: [c for _, c in solver.watches[l + nv]] for l in range(-nv, nv + 1)
-            if solver.watches[l + nv]}
+    return {l: [c for _, c in solver.watches[l]] for l in literals(solver) if solver.watches[l]}
 
 
 def test_a_longer_clause_that_repeats_a_literal_attaches_without_the_repeat():
@@ -507,7 +529,7 @@ def test_a_longer_clause_that_shrinks_to_two_literals_joins_the_root_check():
     # check refutes the formula before any watch list is built.
     solver = loaded(CnfInstance(2, ((1, 1, 2, 2), (-1,), (-2,))))
     assert not solver.ok
-    assert solver.bin_imp[solver.nv - 1] == [2] and solver.bin_imp[solver.nv - 2] == [1]
+    assert solver.bin_imp[-1] == [2] and solver.bin_imp[-2] == [1]
     assert not any(isinstance(w, list) for w in solver.watches)
 
 
