@@ -222,7 +222,7 @@ def cmd_reduce3sat(args: argparse.Namespace) -> int:
     text = _read(args.cnf)
     try:
         f = Cnf3Formula.from_dimacs(text)
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:
         raise CliError(f"{args.cnf}: {exc}") from None
     if args.out_dir:
         spec = reduce_3sat(f)

@@ -126,10 +126,33 @@ class VarMap:
 
 @dataclass
 class Encoding:
+    """The CNF of a spec within a scope, with the variables that decoding
+    reads.
+
+    Besides the ``varmap``, the encoding keeps the encoder's own variable
+    tables for the structural kinds and the two closures, keyed as the
+    variables are: ``exists[c]``, ``parent[c][d]`` (c is d's parent),
+    ``used[p]``, ``owner[p][c]``, ``pname[p][n]``, ``ptype[p][t]``,
+    ``pin[p]``, ``conn[p][q]``, ``subt[c][d]`` (d is inside c) and
+    ``reach[p][q]``, for slots ``p``, ``q``.  Each table holds exactly the
+    variables of its kind, in numbering order.  They are handed over, not
+    copied, and closed: looking up a key that has no variable raises
+    KeyError, so reading them numbers nothing."""
+
     cnf: CnfInstance
     varmap: VarMap
     scope: Scope
     structural_vars: tuple[int, ...]
+    exists: dict[str, int]
+    parent: dict[str, dict[str, int]]
+    used: dict[int, int]
+    owner: list[dict[str, int]]
+    pname: list[dict[str, int]]
+    ptype: list[dict[str, int]]
+    pin: dict[int, int]
+    conn: list[dict[int, int]]
+    subt: dict[str, dict[str, int]]
+    reach: list[dict[int, int]]
 
 
 def encode(spec: ResolvedSpec, scope: Scope | None = None) -> Encoding:
@@ -140,7 +163,8 @@ def encode(spec: ResolvedSpec, scope: Scope | None = None) -> Encoding:
 
 class _Table(dict):
     """A dict that maps a missing key ``k`` to ``new(k)`` on its first
-    lookup.  The entries for ``keys`` are made up front, in order."""
+    lookup.  The entries for ``keys`` are made up front, in order.
+    ``close`` ends the numbering: a missing key then raises KeyError."""
 
     __slots__ = ("new",)
 
@@ -153,6 +177,13 @@ class _Table(dict):
     def __missing__(self, key):
         v = self[key] = self.new(key)
         return v
+
+    def close(self) -> None:
+        self.new = _no_variable
+
+
+def _no_variable(key):
+    raise KeyError(key)
 
 
 class _Encoder:
@@ -279,7 +310,12 @@ class _Encoder:
 
         comments = [f"var {v} {self.vm.describe(v)}" for v in self.structural]
         cnf = CnfInstance(self.vm.num_vars, tuple(self.clauses), tuple(comments), tuple(self.groups))
-        return Encoding(cnf, self.vm, self.scope, self.structural)
+        tables = (self.ex, self.used, self.pin, *self.par.values(), *self.owner, *self.pname,
+                  *self.ptype, *self.conn, *self.subt.values(), *self.reach)
+        for table in tables:
+            table.close()
+        return Encoding(cnf, self.vm, self.scope, self.structural, self.ex, self.par, self.used,
+                        self.owner, self.pname, self.ptype, self.pin, self.conn, self.subt, self.reach)
 
     # -- core well-formedness --------------------------------------------------
 
@@ -736,44 +772,37 @@ class _Encoder:
 # --- Decoding -----------------------------------------------------------------
 
 def decode(enc: Encoding, assignment: dict[int, bool]) -> CncModel:
-    """Read a model back from a satisfying assignment of the encoding.  A
-    used port slot with no owner, name or type raises ValueError naming
-    the slot: no model of the encoding leaves one out."""
-    vm, scope = enc.varmap, enc.scope
+    """Read a model back from a satisfying assignment of the encoding,
+    through its structural tables (``exists``, ``parent``, ``used``,
+    ``owner``, ``pname``, ``ptype``, ``pin`` and ``conn``); a variable the
+    assignment leaves out reads False.  A used port slot with no owner,
+    name or type raises ValueError naming the slot: no model of the
+    encoding leaves one out."""
+    true = assignment.get
+    existing = [c for c, v in enc.exists.items() if true(v, False)]
+    alive = set(existing)
+    children = {c: frozenset(d for d, v in enc.parent[c].items() if true(v, False) and d in alive)
+                for c in existing}
 
-    def truth(*key) -> bool:
-        v = vm.get(*key)
-        return v is not None and assignment.get(v, False)
-
-    def first(p: int, kind: str, values):
-        for x in values:
-            if truth(kind, p, x):
+    def first(p: int, kind: str, table: dict, among=None) -> str:
+        for x, v in table.items():
+            if true(v, False) and (among is None or x in among):
                 return x
         raise ValueError(f"used port slot {p} has no {kind}")
 
-    existing = [c for c in scope.components if truth("exists", c)]
-    children: dict[str, set[str]] = {c: set() for c in existing}
-    for c in existing:
-        for d in existing:
-            if c != d and truth("parent", c, d):
-                children[c].add(d)
-
     slot_ref: dict[int, PortRef] = {}
     ports: dict[str, list[Port]] = {c: [] for c in existing}
-    for p in range(scope.ports):
-        if not truth("used", p):
+    for p, u in enc.used.items():
+        if not true(u, False):
             continue
-        owner = first(p, "owner", existing)
-        name = first(p, "pname", scope.port_names)
-        ptype = first(p, "ptype", scope.types)
-        direction = Direction.IN if truth("pin", p) else Direction.OUT
+        owner = first(p, "owner", enc.owner[p], alive)
+        name = first(p, "pname", enc.pname[p])
+        ptype = first(p, "ptype", enc.ptype[p])
+        direction = Direction.IN if true(enc.pin[p], False) else Direction.OUT
         ports[owner].append(Port(name, direction, ptype))
         slot_ref[p] = PortRef(owner, name)
 
-    connectors = [
-        Connector(slot_ref[p], slot_ref[q])
-        for p in slot_ref for q in slot_ref
-        if p != q and truth("conn", p, q)
-    ]
-    components = [Component(c, tuple(ports[c]), frozenset(children[c])) for c in existing]
+    connectors = [Connector(slot_ref[p], slot_ref[q])
+                  for p in slot_ref for q, v in enc.conn[p].items() if true(v, False) and q in slot_ref]
+    components = [Component(c, tuple(ports[c]), children[c]) for c in existing]
     return CncModel(tuple(components), tuple(connectors))

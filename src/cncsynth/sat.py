@@ -731,7 +731,8 @@ class _Cdcl:
                 continue
             v = self._pick_branch_var()
             if v == 0:
-                model = dict(enumerate(map((1).__eq__, self.val[1:self.nv + 1]), 1))
+                val = self.val
+                model = {v: val[v] == 1 for v in range(1, self.nv + 1)}
                 return SolveResult(SAT, model, self.stats)
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
@@ -894,13 +895,14 @@ def emit_dimacs(cnf: CnfInstance) -> str:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF (clauses may span lines; 'c' lines are kept as
-    comments).  A bad header or clause count, or a literal outside
-    ``±1..num_vars``, raises SolverError."""
+    comments).  A bad header or clause count, a token that is not an
+    integer (named with its line number) or a literal outside
+    ``±1..num_vars`` raises SolverError."""
     comments: list[str] = []
     num_vars = declared_clauses = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -911,14 +913,14 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise SolverError(f"bad DIMACS header: {line!r}")
-            num_vars, declared_clauses = int(parts[2]), int(parts[3])
+            num_vars, declared_clauses = _dimacs_int(parts[2], number), _dimacs_int(parts[3], number)
             if num_vars < 0 or declared_clauses < 0:
                 raise SolverError(f"negative count in DIMACS header: {line!r}")
             continue
         if line.startswith("%"):
             break
         for tok in line.split():
-            lit = int(tok)
+            lit = _dimacs_int(tok, number)
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []
@@ -935,6 +937,13 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise SolverError(f"literal {bad} is outside the variables 1..{num_vars} "
                           f"of the DIMACS header 'p cnf {num_vars} {declared_clauses}'")
     return CnfInstance(num_vars, tuple(clauses), tuple(comments))
+
+
+def _dimacs_int(tok: str, number: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise SolverError(f"line {number}: {tok!r} is not an integer") from None
 
 
 def parse_dimacs_result(text: str) -> SolveResult:

@@ -12,7 +12,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, permutations
+from itertools import islice
 from typing import Iterator
 
 from cncsynth.checker import EvaluationResult, evaluate_spec
@@ -46,26 +46,25 @@ class SynthResult:
 def verify_closures(enc: Encoding, assignment: dict[int, bool], model: CncModel) -> None:
     """Check that the solver's reach/subt variables are exactly the transitive
     closures of the decoded model's containment and of the connectors between
-    used port slots."""
-    vm, scope = enc.varmap, enc.scope
-    for c, d in permutations(scope.components, 2):
-        v = vm.get("subt", c, d)
-        if v is None:
-            continue
-        truth = (c, d) in model.contains
-        if assignment.get(v, False) != truth:
-            raise SoundnessError(f"subt({c}, {d}) is {assignment.get(v)}, closure says {truth}")
+    used port slots.  The assignment is read through the encoding's ``subt``,
+    ``used``, ``conn`` and ``reach`` tables; a variable it leaves out reads
+    False."""
+    true = assignment.get
+    contains = model.contains
+    for c, row in enc.subt.items():
+        for d, v in row.items():
+            truth = (c, d) in contains
+            if true(v, False) != truth:
+                raise SoundnessError(f"subt({c}, {d}) is {true(v)}, closure says {truth}")
 
-    used = [p for p in range(scope.ports) if assignment.get(vm.get("used", p), False)]
-    reach = transitive_closure({p: [q for q in used if q != p and assignment.get(vm.get("conn", p, q), False)]
+    used = {p for p, v in enc.used.items() if true(v, False)}
+    reach = transitive_closure({p: [q for q, v in enc.conn[p].items() if true(v, False) and q in used]
                                 for p in used})
-    for p, q in permutations(range(scope.ports), 2):
-        v = vm.get("reach", p, q)
-        if v is None:
-            continue
-        truth = (p, q) in reach
-        if assignment.get(v, False) != truth:
-            raise SoundnessError(f"reach({p}, {q}) is {assignment.get(v)}, closure says {truth}")
+    for p, row in enumerate(enc.reach):
+        for q, v in row.items():
+            truth = (p, q) in reach
+            if true(v, False) != truth:
+                raise SoundnessError(f"reach({p}, {q}) is {true(v)}, closure says {truth}")
 
 
 def _decode_verified(enc: Encoding, assignment: dict[int, bool],

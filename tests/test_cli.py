@@ -224,6 +224,8 @@ def test_reduce3sat_unsat(tmp_path):
     ("p cnf 2 3\n1 -2 0\n2 0\n", "header declares 3 clauses, found 2"),
     ("p cnf 2 3\n1 3 0\n2 0\n-1 -2 0\n",
      "literal 3 is outside the variables 1..2 of the DIMACS header 'p cnf 2 3'"),
+    ("p cnf 2 1\n1 x 0\n", "line 2: 'x' is not an integer"),
+    ("p cnf 2 1\n1 2 -1 2 0\n", "clause (1, 2, -1, 2) has more than three literals"),
 ])
 def test_reduce3sat_malformed_dimacs_is_a_usage_error(tmp_path, text, message):
     cnf = tmp_path / "f.cnf"

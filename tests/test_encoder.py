@@ -22,11 +22,13 @@ from conftest import FIXTURES
 from oracles import oracle_satisfies
 
 from cncsynth.dsl import parse_view
+from cncsynth import synth
 from cncsynth.encoder import (
     EncodingError,
     Scope,
     VarMap,
     compute_scope,
+    decode,
     encode,
 )
 from cncsynth.checker import evaluate_spec
@@ -38,11 +40,14 @@ from cncsynth.model import (
     Direction,
     Port,
     PortRef,
+    transitive_closure,
     validate_model,
 )
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
 from cncsynth.speclang import And, Not, Or, ScopeHints, Var, ViewSpec, evaluate_formula, resolve
-from cncsynth.synth import SynthOutcome, enumerate_models, synthesize
+from cncsynth.sat import SAT, iter_assignments
+from cncsynth.speclang import ResolvedSpec
+from cncsynth.synth import SoundnessError, SynthOutcome, enumerate_models, synthesize, verify_closures
 
 
 def spec_of(view_text: str, **kw):
@@ -228,6 +233,146 @@ def test_enumeration_completeness_with_abstract_connector():
     got = set(enumerate_models(spec, scope=SCOPE))
     assert got == expected
     assert expected, "the property must not hold vacuously"
+
+
+# --- Decoding against the key-based reference --------------------------------
+#
+# `decode` and `verify_closures` read an answer through the encoding's
+# variable tables.  The two functions below are the key-based versions they
+# replaced, one `VarMap.get` per variable, kept as the reference: both must
+# give the same models and the same verdicts.
+
+def reference_decode(enc, assignment: dict[int, bool]) -> CncModel:
+    vm, scope = enc.varmap, enc.scope
+
+    def truth(*key) -> bool:
+        v = vm.get(*key)
+        return v is not None and assignment.get(v, False)
+
+    def first(p: int, kind: str, values):
+        for x in values:
+            if truth(kind, p, x):
+                return x
+        raise ValueError(f"used port slot {p} has no {kind}")
+
+    existing = [c for c in scope.components if truth("exists", c)]
+    children: dict[str, set[str]] = {c: set() for c in existing}
+    for c in existing:
+        for d in existing:
+            if c != d and truth("parent", c, d):
+                children[c].add(d)
+    slot_ref: dict[int, PortRef] = {}
+    ports: dict[str, list[Port]] = {c: [] for c in existing}
+    for p in range(scope.ports):
+        if not truth("used", p):
+            continue
+        owner = first(p, "owner", existing)
+        name = first(p, "pname", scope.port_names)
+        ptype = first(p, "ptype", scope.types)
+        direction = Direction.IN if truth("pin", p) else Direction.OUT
+        ports[owner].append(Port(name, direction, ptype))
+        slot_ref[p] = PortRef(owner, name)
+    connectors = [Connector(slot_ref[p], slot_ref[q]) for p in slot_ref for q in slot_ref
+                  if p != q and truth("conn", p, q)]
+    components = [Component(c, tuple(ports[c]), frozenset(children[c])) for c in existing]
+    return CncModel(tuple(components), tuple(connectors))
+
+
+def reference_verify_closures(enc, assignment: dict[int, bool], model: CncModel) -> None:
+    vm, scope = enc.varmap, enc.scope
+    for c, d in itertools.permutations(scope.components, 2):
+        v = vm.get("subt", c, d)
+        if v is None:
+            continue
+        truth = (c, d) in model.contains
+        if assignment.get(v, False) != truth:
+            raise SoundnessError(f"subt({c}, {d}) is {assignment.get(v)}, closure says {truth}")
+    used = [p for p in range(scope.ports) if assignment.get(vm.get("used", p), False)]
+    reach = transitive_closure({p: [q for q in used if q != p and assignment.get(vm.get("conn", p, q), False)]
+                                for p in used})
+    for p, q in itertools.permutations(range(scope.ports), 2):
+        v = vm.get("reach", p, q)
+        if v is None:
+            continue
+        truth = (p, q) in reach
+        if assignment.get(v, False) != truth:
+            raise SoundnessError(f"reach({p}, {q}) is {assignment.get(v)}, closure says {truth}")
+
+
+def closure_verdict(check, enc, assignment: dict[int, bool], model: CncModel) -> str | None:
+    """The message of the SoundnessError ``check`` raises, or None."""
+    try:
+        check(enc, assignment, model)
+    except SoundnessError as exc:
+        return str(exc)
+    return None
+
+
+def lander() -> ResolvedSpec:
+    return load_spec(str(FIXTURES / "lunar_lander" / "Lander.cncspec"))
+
+
+def sat_answers(enc, limit: int | None = None) -> list[dict[int, bool]]:
+    """The SAT answers of the enumeration of ``enc``, up to ``limit``."""
+    results = itertools.islice(iter_assignments(enc.cnf, projection=list(enc.structural_vars)), limit)
+    return [r.assignment for r in results if r.status == SAT]
+
+
+def closure_vars(enc) -> list[int]:
+    return [v for v in range(1, enc.varmap.num_vars + 1)
+            if enc.varmap.describe(v).split(" ", 1)[0] in ("subt", "reach")]
+
+
+def test_decode_and_verify_closures_match_the_key_based_reference():
+    enc = encode(lander())
+    cases = [(enc, sat_answers(enc, 250))]
+    cases += [(enc, sat_answers(enc)) for enc in (encode(spec, SCOPE) for spec in TINY_SPECS)]
+    assert len(cases[0][1]) == 250 and sum(len(answers) for _, answers in cases[1:]) > 20
+    for enc, answers in cases:
+        for a in answers:
+            model = decode(enc, a)
+            assert model == reference_decode(enc, a)
+            assert closure_verdict(verify_closures, enc, a, model) is None
+            assert closure_verdict(reference_verify_closures, enc, a, model) is None
+
+
+def test_verify_closures_matches_the_reference_on_tampered_answers():
+    # Each subt and reach variable flipped in turn, as
+    # `test_verify_closures_detects_tampering` flips them.
+    specs = [spec_of("component A { component B; }", scope_hints=ScopeHints(ports=0, extra_names=0)),
+             spec_of("component T { component A { port out int o; } component B { port in int i; } }"
+                     " connect A.o -> B.i;"),
+             lander()]
+    for spec in specs:
+        result = synthesize(spec)
+        assert result.outcome is SynthOutcome.SAT
+        enc, a = result.encoding, result.assignment
+        assert closure_vars(enc)
+        for v in closure_vars(enc):
+            flipped = {**a, v: not a[v]}
+            verdict = closure_verdict(verify_closures, enc, flipped, result.model)
+            assert verdict is not None
+            assert verdict == closure_verdict(reference_verify_closures, enc, flipped, result.model)
+
+
+def test_decoding_numbers_no_variable():
+    spec = lander()
+    enc = encode(spec)
+    numbered = (enc.varmap.num_vars, enc.cnf.num_vars)
+    answers = sat_answers(enc, 250)
+    for a in answers:
+        synth._decode_verified(enc, a, spec)
+    assert (enc.varmap.num_vars, enc.cnf.num_vars) == numbered
+    for v in closure_vars(enc):
+        with pytest.raises(SoundnessError):
+            synth._decode_verified(enc, {**answers[0], v: not answers[0][v]}, spec)
+    assert (enc.varmap.num_vars, enc.cnf.num_vars) == numbered
+    # The tables are closed: a key with no variable is not numbered.
+    c = enc.scope.components[0]
+    for table, key in ((enc.reach[0], 0), (enc.subt[c], c), (enc.parent[c], c), (enc.conn[0], 0)):
+        with pytest.raises(KeyError):
+            table[key]
+    assert (enc.varmap.num_vars, enc.cnf.num_vars) == numbered
 
 
 # Two types, so that views can disagree on the type of a port.  Every view

@@ -177,6 +177,9 @@ def test_parse_dimacs_errors():
          "literal 3 is outside the variables 1..2 of the DIMACS header 'p cnf 2 3'"),
         ("p cnf 2 1\n-1 -4 0\n", "literal -4 is outside the variables 1..2 of the DIMACS header 'p cnf 2 1'"),
         ("p cnf 0 1\n1 0\n", "literal 1 is outside the variables 1..0 of the DIMACS header 'p cnf 0 1'"),
+        ("p cnf 2 1\n1 x 0\n", "line 2: 'x' is not an integer"),
+        ("c note\n\np cnf 2 1\n1 0\n-2 2.0\n", "line 5: '2.0' is not an integer"),
+        ("p cnf two 1\n1 0\n", "line 1: 'two' is not an integer"),
     ]:
         with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
             parse_dimacs(text)
@@ -379,6 +382,21 @@ def test_search_counts_lander_enumeration():
             if n == 250:
                 break
     assert counts == {50: (41, 243, 3529), 250: (113, 923, 10898)}
+
+
+def test_every_sat_answer_maps_each_variable_to_a_bool():
+    # Every SAT answer, of `solve` and of each step of `iter_assignments`,
+    # has exactly the keys 1..num_vars, each mapped to a bool.
+    f = Cnf3Formula(4, ((1, -2, 3), (-1, 2, 4), (2, 3, -4), (-3,)))
+    encodings = [encode(load_spec(str(LANDER / "Lander.cncspec"))),
+                 encode(resolve(reduce_3sat(f)), reduction_scope(f))]
+    for enc in encodings:
+        steps = itertools.islice(iter_assignments(enc.cnf, projection=list(enc.structural_vars)), 250)
+        answers = [r.assignment for r in [solve(enc.cnf), *steps] if r.status == SAT]
+        assert len(answers) > 2
+        for a in answers:
+            assert a.keys() == set(range(1, enc.cnf.num_vars + 1))
+            assert all(type(x) is bool for x in a.values())
 
 
 def test_solve_seconds_set_on_unsat_and_resource_limit():
