@@ -14,6 +14,10 @@ breaking (used slots form a prefix, ordered by owner and then port name)
 makes the structural assignment of any model unique, so blocking clauses
 projected onto the structural variables enumerate distinct models.
 
+Every variable is numbered once, by ``VarMap.new``.  A variable read from
+several places is shared through a table that numbers it on its first
+lookup, so the order of first lookups fixes the numbering.
+
 Transitive containment and port reachability are encoded as fixpoint
 biconditionals.  These are exact here: containment antisymmetry rules out
 circular justification of containment, and the connector direction rules
@@ -51,7 +55,7 @@ class EncodingError(Exception):
 @dataclass(frozen=True)
 class Scope:
     """The finite search space: a fixed component universe, a number of port
-    slots, and pools of admissible port names and types."""
+    slots, and pools of admissible port names and types, each listed once."""
 
     components: tuple[str, ...]
     ports: int
@@ -61,9 +65,11 @@ class Scope:
     def __post_init__(self) -> None:
         if self.ports < 0:
             raise ValueError(f"scope count ports must not be negative, got {self.ports}")
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "port_names", tuple(self.port_names))
-        object.__setattr__(self, "types", tuple(self.types))
+        for field, kind in (("components", "component"), ("port_names", "port name"), ("types", "type")):
+            values = tuple(getattr(self, field))
+            object.__setattr__(self, field, values)
+            if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ValueError(f"scope {kind} {repeated[0]!r} is listed twice")
 
 
 def compute_scope(spec: ResolvedSpec) -> Scope:
@@ -89,23 +95,16 @@ def _fresh(prefix: str, count: int, taken: set[str] | frozenset[str]) -> list[st
 
 class VarMap:
     """Bijection between symbolic variable keys and DIMACS variable indices,
-    in allocation order."""
+    in numbering order.  ``new`` numbers each variable once; a variable read
+    from several places is shared through a table."""
 
     def __init__(self) -> None:
         self._index: dict[tuple, int] = {}
         self._keys: list[tuple | None] = [None]
 
-    def var(self, *key) -> int:
-        v = self._index.get(key)
-        if v is None:
-            v = len(self._keys)
-            self._keys.append(key)
-            self._index[key] = v
-        return v
-
     def new(self, *key) -> int:
-        """Number ``key``, which must have no variable yet, with one
-        dictionary operation; for an auxiliary that is new by construction."""
+        """Number ``key`` with one dictionary operation.  A key that already
+        has a variable raises ValueError and numbers nothing."""
         v = len(self._keys)
         if self._index.setdefault(key, v) != v:
             raise ValueError(f"variable {' '.join(map(str, key))} is already numbered")
@@ -163,8 +162,8 @@ def encode(spec: ResolvedSpec, scope: Scope | None = None) -> Encoding:
 
 class _Table(dict):
     """A dict that maps a missing key ``k`` to ``new(k)`` on its first
-    lookup.  The entries for ``keys`` are made up front, in order.
-    ``close`` ends the numbering: a missing key then raises KeyError."""
+    lookup and keeps it.  The entries for ``keys`` are made up front, in
+    order.  ``close`` ends the numbering: a missing key then raises KeyError."""
 
     __slots__ = ("new",)
 
@@ -189,12 +188,12 @@ def _no_variable(key):
 class _Encoder:
     """Builds one encoding.
 
-    Variables live in tables, one per kind (``par[c][d]``, ``reach[p][q]``,
-    ...): a table numbers the variable ``(kind, *args, key)`` the first time
-    it is looked up, so the numbering is part of the output.  The structural
-    tables are filled when the encoder is made, in the structural order;
-    every other table fills in the order the clauses first need its
-    variables.  The clause groups read table lookups and append literal
+    Every variable is numbered once, by ``VarMap.new``.  A variable read
+    from several places lives in a table (``par[c][d]``, ``portok[c, port]``,
+    ...) that numbers it, and emits an auxiliary's defining clauses, on its
+    first lookup.  The structural tables are filled when the encoder is
+    made, in the structural order; every other table fills in the order the
+    clauses first need its variables.  The clause groups append literal
     tuples to ``clauses`` directly, with no call per literal.
     ``tests/test_encoder.py`` pins the resulting CNF, numbering included.
     """
@@ -207,9 +206,7 @@ class _Encoder:
         self.groups: list[tuple[str, int, int]] = []
         self._group_start = 0
         self._group_label: str | None = None
-        self._true_var: int | None = None
         self._tseitin_n = 0
-        self._conncomp_defined: set[tuple[int, str]] = set()
         self.comps = list(scope.components)
         self.slots = list(range(scope.ports))
         self.names = list(scope.port_names)
@@ -217,20 +214,27 @@ class _Encoder:
         self._validate_scope()
 
         # Structural variables first, in a fixed order.
-        comps, slots, var = self.comps, self.slots, self.vm.var
-        self.ex = _Table(partial(var, "exists"), comps)
-        self.par = {c: _Table(partial(var, "parent", c), [d for d in comps if d != c]) for c in comps}
-        self.top = _Table(partial(var, "top"), comps)
-        self.used = _Table(partial(var, "used"), slots)
-        self.owner = [_Table(partial(var, "owner", p), comps) for p in slots]
-        self.pname = [_Table(partial(var, "pname", p), self.names) for p in slots]
-        self.pin = _Table(partial(var, "pin"), slots)
-        self.ptype = [_Table(partial(var, "ptype", p), self.types) for p in slots]
-        self.conn = [_Table(partial(var, "conn", p), [q for q in slots if q != p]) for p in slots]
+        comps, slots, new = self.comps, self.slots, self.vm.new
+        self.ex = _Table(partial(new, "exists"), comps)
+        self.par = {c: _Table(partial(new, "parent", c), [d for d in comps if d != c]) for c in comps}
+        self.top = _Table(partial(new, "top"), comps)
+        self.used = _Table(partial(new, "used"), slots)
+        self.owner = [_Table(partial(new, "owner", p), comps) for p in slots]
+        self.pname = [_Table(partial(new, "pname", p), self.names) for p in slots]
+        self.pin = _Table(partial(new, "pin"), slots)
+        self.ptype = [_Table(partial(new, "ptype", p), self.types) for p in slots]
+        self.conn = [_Table(partial(new, "conn", p), [q for q in slots if q != p]) for p in slots]
         self.structural = tuple(range(1, self.vm.num_vars + 1))
-        self.subt = {c: _Table(partial(var, "subt", c)) for c in comps}
-        self.reach = [_Table(partial(var, "reach", p)) for p in slots]
-        self.view = _Table(partial(var, "view"))
+        self.subt = {c: _Table(partial(new, "subt", c)) for c in comps}
+        self.reach = [_Table(partial(new, "reach", p)) for p in slots]
+        self.view = _Table(partial(new, "view"))
+        # Shared auxiliaries, each defined where it is first needed.
+        self.const = _Table(self._const)
+        self.typepresent = _Table(self._type_present)
+        self.portok = _Table(self._port_ok)
+        self.endsel = _Table(lambda end: _Table(partial(self._endpoint_sel, *end)))
+        self.acok = _Table(self._abs_conn_ok)
+        self.conncomp = _Table(self._conn_to_comp)
 
     def _validate_scope(self) -> None:
         spec = self.spec
@@ -255,39 +259,33 @@ class _Encoder:
             self.groups.append((self._group_label, self._group_start, len(self.clauses)))
         self._group_label = None
 
-    def true_lit(self) -> int:
-        if self._true_var is None:
-            self._true_var = self.vm.var("const", "true")
-            self.add(self._true_var)
-        return self._true_var
+    def _const(self, value: str) -> int:
+        """The literal fixed to ``value`` ("true") by a unit clause."""
+        v = self.vm.new("const", value)
+        self.add(v)
+        return v
 
     def _amo(self, lits: list[int]) -> None:
         self.clauses.extend((-a, -b) for i, a in enumerate(lits) for b in lits[i + 1:])
 
     def and_var(self, key: tuple, lits: list[int]) -> int:
-        """Auxiliary variable equivalent to the conjunction of ``lits``."""
+        """A literal equivalent to the conjunction of ``lits``: a new ``key`` if two or more."""
         if len(lits) == 1:
             return lits[0]
         if not lits:
-            return self.true_lit()
-        v = self.vm.get(*key)
-        if v is not None:
-            return v
-        v = self.vm.var(*key)
+            return self.const["true"]
+        v = self.vm.new(*key)
         self.clauses.extend((-v, l) for l in lits)
         self.clauses.append((v, *(-l for l in lits)))
         return v
 
     def or_var(self, key: tuple, lits: list[int]) -> int:
-        """Auxiliary variable equivalent to the disjunction of ``lits``."""
+        """A literal equivalent to the disjunction of ``lits``: a new ``key`` if two or more."""
         if len(lits) == 1:
             return lits[0]
         if not lits:
-            return -self.true_lit()
-        v = self.vm.get(*key)
-        if v is not None:
-            return v
-        v = self.vm.var(*key)
+            return -self.const["true"]
+        v = self.vm.new(*key)
         self.clauses.extend((-l, v) for l in lits)
         self.clauses.append((-v, *lits))
         return v
@@ -312,7 +310,9 @@ class _Encoder:
         cnf = CnfInstance(self.vm.num_vars, tuple(self.clauses), tuple(comments), tuple(self.groups))
         tables = (self.ex, self.used, self.pin, *self.par.values(), *self.owner, *self.pname,
                   *self.ptype, *self.conn, *self.subt.values(), *self.reach)
-        for table in tables:
+        # A closed table drops its definer, and with it any reference back to the encoder.
+        for table in (*tables, self.const, self.typepresent, self.portok, self.endsel,
+                      *self.endsel.values(), self.acok, self.conncomp):
             table.close()
         return Encoding(cnf, self.vm, self.scope, self.structural, self.ex, self.par, self.used,
                         self.owner, self.pname, self.ptype, self.pin, self.conn, self.subt, self.reach)
@@ -421,7 +421,7 @@ class _Encoder:
                 for cj in comps[:i]:
                     emit((-o0[ci], -o1[cj]))
             # Within a same-owner block, port-name index strictly increases.
-            sb = self.vm.var("sameowner", p)
+            sb = self.vm.new("sameowner", p)
             for c in comps:
                 emit((-o0[c], -o1[c], sb))
             for i, ni in enumerate(names):
@@ -435,8 +435,8 @@ class _Encoder:
         comps, slots, types = self.comps, self.slots, self.types
         par, top, used, owner, pin, ptype, conn = (
             self.par, self.top, self.used, self.owner, self.pin, self.ptype, self.conn)
-        pparent = [_Table(partial(self.vm.var, "pparent", p)) for p in slots]
-        ptop = _Table(partial(self.vm.var, "ptop"))
+        pparent = [_Table(partial(self.vm.new, "pparent", p)) for p in slots]
+        ptop = _Table(partial(self.vm.new, "ptop"))
         emit = self.clauses.append
         # pparent(p, c): the parent of slot p's owner is c.
         for p in slots:
@@ -515,10 +515,12 @@ class _Encoder:
     # -- views and the specification formula -----------------------------------
 
     def _type_present(self, t: str) -> int:
+        """``typepresent[t]``: some slot has type t."""
         return self.or_var(("typepresent", t), [self.ptype[p][t] for p in self.slots])
 
-    def _port_ok(self, c: str, port: Port) -> int:
-        """Some slot realizes this declared view/library port."""
+    def _port_ok(self, key: tuple[str, Port]) -> int:
+        """``portok[c, port]``: some slot realizes c's declared port."""
+        c, port = key
         n, d, t = port.name, port.direction.value, port.type
         sign = 1 if port.direction is Direction.IN else -1
         lits = []
@@ -529,7 +531,8 @@ class _Encoder:
             lits.append(self.and_var(("portsel", c, n, d, t, p), conj))
         return self.or_var(("portok", c, n, d, t), lits)
 
-    def _endpoint_sel(self, p: int, c: str, n: str | None, t: str | None) -> int:
+    def _endpoint_sel(self, c: str, n: str | None, t: str | None, p: int) -> int:
+        """``endsel[c, n, t][p]``: slot p is c's, named n and typed t if given."""
         conj = [self.owner[p][c]]
         if n is not None:
             conj.append(self.pname[p][n])
@@ -538,17 +541,13 @@ class _Encoder:
         return self.and_var(("endsel", c, n, t, p), conj)
 
     def _abs_conn_ok(self, ac: AbstractConnector) -> int:
+        """``acok[ac]``: a chain joins a slot pair of ac's endpoints; each pair
+        auxiliary is the conjunction of its three literals."""
         key = ("acok", ac.src_cmp, ac.src_port, ac.src_type, ac.tgt_cmp, ac.tgt_port, ac.tgt_type)
-        if (v := self.vm.get(*key)) is not None:
-            return v
-        src = _Table(partial(self._endpoint_sel, c=ac.src_cmp, n=ac.src_port, t=ac.src_type))
-        tgt = _Table(partial(self._endpoint_sel, c=ac.tgt_cmp, n=ac.tgt_port, t=ac.tgt_type))
+        src = self.endsel[ac.src_cmp, ac.src_port, ac.src_type]
+        tgt = self.endsel[ac.tgt_cmp, ac.tgt_port, ac.tgt_type]
         reach, new, define = self.reach, self.vm.new, self.clauses.extend
         lits = []
-        # Each pair auxiliary is the conjunction of its three literals.  It
-        # is new: there are two pairs or more, or none, so the call that
-        # numbers the pairs also numbers the acok key, and a later call for
-        # the same key returns above.
         for p in self.slots:
             for q in self.slots:
                 if p != q:
@@ -562,17 +561,17 @@ class _Encoder:
         """The literal that holds iff the model has view element ``e``."""
         match e:
             case ("type", t):
-                return self._type_present(t)
+                return self.typepresent[t]
             case ("component", c):
                 return self.ex[c]
             case ("port", c, port):
-                return self._port_ok(c, port)
+                return self.portok[c, port]
             case ("nested", a, b):
                 return self.subt[a][b]
             case ("independent", a, b):
                 return -self.subt[a][b]
             case ("connector", ac):
-                return self._abs_conn_ok(ac)
+                return self.acok[ac]
         raise ValueError(f"unknown view element {e!r}")
 
     def _views(self) -> None:
@@ -593,8 +592,8 @@ class _Encoder:
         self._tseitin_n += 1
         key = ("faux", self._tseitin_n)
         if isinstance(f, And):
-            return self.and_var(key, lits) if lits else self.true_lit()
-        return self.or_var(key, lits) if lits else -self.true_lit()
+            return self.and_var(key, lits)
+        return self.or_var(key, lits)
 
     def _formula(self) -> None:
         self.begin("formula")
@@ -608,7 +607,7 @@ class _Encoder:
         direction and (unless it is untyped) type."""
         for port in ports:
             n = port.name
-            self.add(-self.ex[c], self._port_ok(c, port))
+            self.add(-self.ex[c], self.portok[c, port])
             pin_lit = 1 if port.direction is Direction.IN else -1
             for p in self.slots:
                 self.add(-self.owner[p][c], -self.pname[p][n], pin_lit * self.pin[p])
@@ -642,30 +641,29 @@ class _Encoder:
         self.begin("port-identity")
         for clash in self.spec.port_clashes:
             c, n = clash.component, clash.name
-            oks = {port: self._port_ok(c, port) for _, port in clash.declarations}
+            oks = {port: self.portok[c, port] for _, port in clash.declarations}
             if clash.lacking:
                 self.clauses.extend((-ok,) for ok in oks.values())
                 continue
             if len(clash.directions) > 1:
-                pin = self.vm.var("portin", c, n)
+                pin = self.vm.new("portin", c, n)
                 self.clauses.extend((-ok, pin if port.direction is Direction.IN else -pin)
                                     for port, ok in oks.items())
             if len(clash.types) > 1:
-                ptype = {t: self.vm.var("porttype", c, n, t) for t in clash.types}
+                ptype = {t: self.vm.new("porttype", c, n, t) for t in clash.types}
                 self.clauses.extend((-ok, ptype[port.type]) for port, ok in oks.items()
                                     if port.type is not None)
                 self._amo(list(ptype.values()))
 
     # -- styles ----------------------------------------------------------------
 
-    def _conn_to_comp(self, p: int, b: str) -> int:
-        """Lower-bound aux: slot p has an outgoing connector into component b."""
-        v = self.vm.var("conncomp", p, b)
-        if (p, b) not in self._conncomp_defined:
-            self._conncomp_defined.add((p, b))
-            for q in self.slots:
-                if q != p:
-                    self.add(-self.conn[p][q], -self.owner[q][b], v)
+    def _conn_to_comp(self, key: tuple[int, str]) -> int:
+        """``conncomp[p, b]``, a lower bound: slot p has a connector into b."""
+        p, b = key
+        v = self.vm.new("conncomp", p, b)
+        for q in self.slots:
+            if q != p:
+                self.add(-self.conn[p][q], -self.owner[q][b], v)
         return v
 
     def _style(self) -> None:
@@ -684,27 +682,27 @@ class _Encoder:
         self.begin("style-hierarchical")
         noinc, noout = {}, {}
         for p in self.slots:
-            noinc[p] = self.vm.var("noinc", p)
+            noinc[p] = self.vm.new("noinc", p)
             self.add(noinc[p], *(self.conn[r][p] for r in self.slots if r != p))
-            noout[p] = self.vm.var("noout", p)
+            noout[p] = self.vm.new("noout", p)
             self.add(noout[p], *(self.conn[p][r] for r in self.slots if r != p))
-        ee = {(a, b): self.vm.var("ee", a, b)
+        ee = {(a, b): self.vm.new("ee", a, b)
               for a in self.comps for b in self.comps if a != b}
         snk = {}
         for q in self.slots:
             for b in self.comps:
-                snk[(q, b)] = self.vm.var("eesnk", q, b)
+                snk[(q, b)] = self.vm.new("eesnk", q, b)
                 self.add(-noout[q], -self.owner[q][b], snk[(q, b)])
         for p in self.slots:
             for b in self.comps:
-                er = self.vm.var("eereach", p, b)
+                er = self.vm.new("eereach", p, b)
                 for q in self.slots:
                     if q != p:
                         self.add(-self.reach[p][q], -snk[(q, b)], er)
                 for a in self.comps:
                     if a != b:
                         self.add(-noinc[p], -self.owner[p][a], -er, ee[(a, b)])
-        eet = {(a, b): self.vm.var("eet", a, b)
+        eet = {(a, b): self.vm.new("eet", a, b)
                for a in self.comps for b in self.comps if a != b}
         for (a, b), v in ee.items():
             self.add(-v, eet[(a, b)])
@@ -738,7 +736,7 @@ class _Encoder:
             for other in clients:
                 if other != client:
                     for p in self.slots:
-                        self.add(-self.owner[p][client], -self._conn_to_comp(p, other))
+                        self.add(-self.owner[p][client], -self.conncomp[p, other])
 
     def _style_layered(self, layers: tuple[tuple[str, ...], ...]) -> None:
         self.begin("style-layered")
@@ -750,9 +748,9 @@ class _Encoder:
             for b in self.comps:
                 if a == b:
                     continue
-                cconn[(a, b)] = self.vm.var("cconn", a, b)
+                cconn[(a, b)] = self.vm.new("cconn", a, b)
                 for p in self.slots:
-                    self.add(-self.owner[p][a], -self._conn_to_comp(p, b), cconn[(a, b)])
+                    self.add(-self.owner[p][a], -self.conncomp[p, b], cconn[(a, b)])
         for t1 in members:
             for t2 in members:
                 if abs(layer_of[t1] - layer_of[t2]) <= 1:

@@ -951,7 +951,7 @@ def parse_dimacs_result(text: str) -> SolveResult:
     status = None
     lits: list[int] = []
     seen_v = False
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line.startswith("s "):
             verdict = line[2:].strip().upper()
@@ -965,7 +965,7 @@ def parse_dimacs_result(text: str) -> SolveResult:
                 raise SolverError(f"unrecognized solver verdict {verdict!r}")
         elif line.startswith("v ") or line == "v":
             seen_v = True
-            lits.extend(int(t) for t in line[1:].split())
+            lits.extend(_dimacs_int(t, number) for t in line[1:].split())
     if status is None:
         raise SolverError("solver output contains no 's' line")
     if status != SAT:

@@ -130,6 +130,8 @@ class StyleConfig:
                 raise ValueError("client-server style needs a server and at least one client")
             if self.server in self.clients:
                 raise ValueError("the server cannot also be a client")
+            if repeated := [c for i, c in enumerate(self.clients) if c in self.clients[:i]]:
+                raise ValueError(f"client {repeated[0]!r} is listed twice")
         if self.kind is StyleKind.LAYERED:
             if len(self.layers) < 2 or any(not l for l in self.layers):
                 raise ValueError("layered style needs at least two nonempty layers")

@@ -201,6 +201,7 @@ def test_parse_spec_styles():
         "spec S { views { V } formula: ; }",
         "spec S { views { V } formula: V; style layered([A]); }",          # one layer
         "spec S { views { V } formula: V; style client-server(server = A, clients = A); }",
+        "spec S { views { V } formula: V; style client-server(server = S, clients = A, A); }",
         "spec S { views { V } formula: V; scope { portz = 3; } }",
         "spec S { views { V } formula: V; patterns { imp(V); } }",
         "spec S { views { V } formula: V; patterns { frob(V); } }",

@@ -7,6 +7,7 @@ the (independent) checker accepts.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -131,6 +132,20 @@ def test_encode_rejects_insufficient_scope(scope):
 def test_scope_rejects_negative_ports():
     with pytest.raises(ValueError, match="ports must not be negative, got -1"):
         Scope(("A",), -1, ("x",), ("int",))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((("A", "A", "B"), 0, (), ("T",)), "scope component 'A' is listed twice"),
+    ((("A", "B"), 2, ("p", "q", "p"), ("T",)), "scope port name 'p' is listed twice"),
+    ((("A", "B"), 0, (), ("T", "U", "U")), "scope type 'U' is listed twice"),
+])
+def test_scope_rejects_a_repeated_name(fields, message):
+    # A repeated component once shared its variables with its first copy, so
+    # this satisfiable spec read UNSAT within the first scope.
+    spec = spec_of("component A { component B; }")
+    assert synthesize(spec, Scope(("A", "B"), 0, (), ("T",))).outcome is SynthOutcome.SAT
+    with pytest.raises(ValueError, match=message):
+        Scope(*fields)
 
 
 def test_encoding_shape():
@@ -463,17 +478,19 @@ def test_closed_interfaces_get_one_group_per_kind():
     assert groups[0][2] == groups[1][1]
 
 
-def test_a_new_auxiliary_must_not_be_numbered_yet():
-    # VarMap.new numbers the auxiliaries that are new by construction
-    # (reachstep, subtstep, acok pairs); a key that has a variable raises
+def test_every_variable_is_numbered_once():
+    # VarMap.new numbers every variable; a key that has a variable raises
     # and numbers nothing.
     vm = VarMap()
-    assert vm.var("exists", "A") == 1
+    assert vm.new("exists", "A") == 1
     assert vm.new("reachstep", 0, 1, 2) == 2 == vm.get("reachstep", 0, 1, 2)
     for key in (("reachstep", 0, 1, 2), ("exists", "A")):
-        with pytest.raises(ValueError, match=" ".join(map(str, key))):
+        with pytest.raises(ValueError, match=f"variable {' '.join(map(str, key))} is already numbered"):
             vm.new(*key)
     assert vm.num_vars == 2 and vm.describe(2) == "reachstep 0 1 2"
+    for name, enc in digest_encodings():
+        described = {enc.varmap.describe(v) for v in range(1, enc.varmap.num_vars + 1)}
+        assert len(described) == enc.varmap.num_vars == enc.cnf.num_vars, name
 
 
 # --- The encoding is pinned: a change to how clauses are built must not move
@@ -524,21 +541,26 @@ def cnf_digest(cnf) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cnf_digests() -> dict[str, str]:
-    """Digest of every fixture spec at its own scope, of S1lib at ports=10
-    (the rj-unsat instance) and S1 at ports=19 (criterion 1, through the
-    override: S1.cncspec sets the same scope), of ``DIGEST_SPECS``, and of
-    three 3SAT reductions."""
+def digest_encodings():
+    """The encoding of every fixture spec at its own scope, of S1lib at
+    ports=10 (the rj-unsat instance) and S1 at ports=19 (criterion 1, through
+    the override: S1.cncspec sets the same scope), of ``DIGEST_SPECS``, and
+    of three 3SAT reductions, each with its name."""
     specs = {path.stem: load_spec(str(path)) for path in sorted(FIXTURES.rglob("*.cncspec"))}
     for name, ports in (("S1lib", 10), ("S1", 19)):
         spec = specs[name]
         specs[f"{name}@ports={ports}"] = dataclasses.replace(
             spec, scope_hints=dataclasses.replace(spec.scope_hints, ports=ports))
     specs.update(DIGEST_SPECS)
-    out = {name: cnf_digest(encode(spec).cnf) for name, spec in specs.items()}
+    for name, spec in specs.items():
+        yield name, encode(spec)
     for name, f in DIGEST_3SAT.items():
-        out[name] = cnf_digest(encode(resolve(reduce_3sat(f)), reduction_scope(f)).cnf)
-    return out
+        yield name, encode(resolve(reduce_3sat(f)), reduction_scope(f))
+
+
+def cnf_digests() -> dict[str, str]:
+    """The digest of each of ``digest_encodings``."""
+    return {name: cnf_digest(enc.cnf) for name, enc in digest_encodings()}
 
 
 def test_cnf_digests_are_pinned():
@@ -555,3 +577,30 @@ def test_cnf_digests_ignore_the_hash_seed():
     out = subprocess.run([sys.executable, "-c", code, str(tests)], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(out.stdout) == CNF_DIGESTS
+
+
+# The number of variables of each kind (the first word of its description,
+# which the benchmark reports as ``encoder.vars.<kind>``).  The digests hash
+# the descriptions of the structural variables only, so these pin the
+# auxiliary kinds.
+VAR_KINDS = {
+    "Lander": {
+        "exists": 4, "parent": 12, "top": 4, "used": 6, "owner": 24, "pname": 18, "pin": 6,
+        "ptype": 6, "conn": 30, "subt": 12, "subtstep": 24, "sameowner": 5, "pparent": 24,
+        "ptop": 6, "reach": 30, "reachstep": 120, "acok": 62, "view": 3, "faux": 1},
+    "S1lib@ports=10": {
+        "exists": 7, "parent": 42, "top": 7, "used": 10, "owner": 70, "pname": 70, "pin": 10,
+        "ptype": 10, "conn": 90, "subt": 42, "subtstep": 210, "sameowner": 9, "pparent": 70,
+        "ptop": 10, "reach": 90, "reachstep": 720, "typepresent": 1, "portsel": 30, "portok": 3,
+        "endsel": 10, "acok": 728, "view": 6, "faux": 2},
+    "3sat-n6-pinned": {
+        "exists": 12, "parent": 132, "top": 12, "subt": 132, "subtstep": 1320, "view": 12,
+        "faux": 24},
+}
+
+
+def test_variable_counts_per_kind_are_pinned():
+    kinds = {name: collections.Counter(enc.varmap.describe(v).split(" ", 1)[0]
+                                       for v in range(1, enc.varmap.num_vars + 1))
+             for name, enc in digest_encodings() if name in VAR_KINDS}
+    assert kinds == VAR_KINDS

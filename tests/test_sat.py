@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import LANDER, RJ
 from oracles import assignment_satisfies, projected_models, truth_table_sat
 
-from cncsynth import sat
+from cncsynth import cli, sat
 from cncsynth.cli import load_spec
 from cncsynth.encoder import encode
 from cncsynth.reduction import Cnf3Formula, reduce_3sat, reduction_scope
@@ -201,6 +201,8 @@ def test_parse_dimacs_result():
     # A solver that prints only its true literals answers an all-false model
     # with a bare terminator.
     assert parse_dimacs_result("s SATISFIABLE\nv 0\n").assignment == {}
+    with pytest.raises(SolverError, match="line 3: 'x' is not an integer"):
+        parse_dimacs_result("s SATISFIABLE\nv 1 -2\nv x 0\n")
 
 
 def test_iter_assignments_enumerates_projection_exactly():
@@ -825,6 +827,12 @@ def test_external_solver_exit_code_disagrees(tmp_path, out, code):
     cfg = fake_solver(tmp_path, f"print({out!r})\nsys.exit({code})")
     with pytest.raises(SolverError, match="exit"):
         solve(CnfInstance(1, ((1,),)), cfg)
+
+
+def test_external_solver_with_a_malformed_model_line_is_an_internal_error(tmp_path, capsys):
+    cfg = fake_solver(tmp_path, 'print("s SATISFIABLE\\nv 1 x 0")\nsys.exit(10)')
+    assert cli.main(["synth", str(LANDER / "Lander.cncspec"), "--solver", cfg.engine]) == 3
+    assert capsys.readouterr().err == "internal error: line 2: 'x' is not an integer\n"
 
 
 # A brute-force DIMACS solver that prints only its true literals, as some

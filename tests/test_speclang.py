@@ -152,6 +152,8 @@ def test_style_config_validation():
         StyleConfig(StyleKind.LAYERED, layers=(("A",),))
     with pytest.raises(ValueError):
         StyleConfig(StyleKind.LAYERED, layers=(("A",), ("A",)))
+    with pytest.raises(ValueError, match="client 'A' is listed twice"):
+        StyleConfig(StyleKind.CLIENT_SERVER, server="S", clients=("A", "B", "A"))
 
 
 def test_port_clashes_name_every_declaration_and_closed_interface():
