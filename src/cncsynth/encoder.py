@@ -769,38 +769,37 @@ class _Encoder:
 
 # --- Decoding -----------------------------------------------------------------
 
-def decode(enc: Encoding, assignment: dict[int, bool]) -> CncModel:
-    """Read a model back from a satisfying assignment of the encoding,
-    through its structural tables (``exists``, ``parent``, ``used``,
-    ``owner``, ``pname``, ``ptype``, ``pin`` and ``conn``); a variable the
-    assignment leaves out reads False.  A used port slot with no owner,
-    name or type raises ValueError naming the slot: no model of the
-    encoding leaves one out."""
-    true = assignment.get
-    existing = [c for c, v in enc.exists.items() if true(v, False)]
+def decode(enc: Encoding, literals: frozenset[int]) -> CncModel:
+    """Read a model back from the true ``literals`` of a satisfying
+    assignment of the encoding, through its structural tables (``exists``,
+    ``parent``, ``used``, ``owner``, ``pname``, ``ptype``, ``pin`` and
+    ``conn``); a variable with neither literal there reads False.  A used
+    port slot with no owner, name or type raises ValueError naming the slot:
+    no model of the encoding leaves one out."""
+    existing = [c for c, v in enc.exists.items() if v in literals]
     alive = set(existing)
-    children = {c: frozenset(d for d, v in enc.parent[c].items() if true(v, False) and d in alive)
+    children = {c: frozenset(d for d, v in enc.parent[c].items() if v in literals and d in alive)
                 for c in existing}
 
     def first(p: int, kind: str, table: dict, among=None) -> str:
         for x, v in table.items():
-            if true(v, False) and (among is None or x in among):
+            if v in literals and (among is None or x in among):
                 return x
         raise ValueError(f"used port slot {p} has no {kind}")
 
     slot_ref: dict[int, PortRef] = {}
     ports: dict[str, list[Port]] = {c: [] for c in existing}
     for p, u in enc.used.items():
-        if not true(u, False):
+        if u not in literals:
             continue
         owner = first(p, "owner", enc.owner[p], alive)
         name = first(p, "pname", enc.pname[p])
         ptype = first(p, "ptype", enc.ptype[p])
-        direction = Direction.IN if true(enc.pin[p], False) else Direction.OUT
+        direction = Direction.IN if enc.pin[p] in literals else Direction.OUT
         ports[owner].append(Port(name, direction, ptype))
         slot_ref[p] = PortRef(owner, name)
 
     connectors = [Connector(slot_ref[p], slot_ref[q])
-                  for p in slot_ref for q, v in enc.conn[p].items() if true(v, False) and q in slot_ref]
+                  for p in slot_ref for q, v in enc.conn[p].items() if v in literals and q in slot_ref]
     components = [Component(c, tuple(ports[c]), children[c]) for c in existing]
     return CncModel(tuple(components), tuple(connectors))

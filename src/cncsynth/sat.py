@@ -19,9 +19,15 @@ conflict leaves no trace, so the search is the one it would have been.  An
 external solver, ``_External``, takes clauses through the same interface.
 ``solve`` and ``iter_assignments`` share one loop, ``_answers``, for both
 engines, and its one deadline bounds the whole loop, every solve call
-included.  It checks every SAT answer before returning it, as strictly as
-a test of every clause, original and blocking, but at the cost of what the
-answer changed: the first answer is tested on every clause of the formula,
+included.  A SAT answer is the frozenset of the literals it makes true, as
+in DIMACS 'v' lines: the internal engine's trail at the answer, which holds
+one literal of every variable, or an external solver's 'v' literals, where
+a variable with neither literal reads False.  The check, the blocking
+clause, the caller and ``encoder.decode`` all read that one object, and
+none can change it.  ``_answers`` checks every SAT answer before returning
+it, as strictly as a test of every clause, original and blocking, but at
+the cost of what the answer changed: the first answer is tested on every
+clause of the formula,
 each later one only on the clauses that hold a variable whose value it
 changed, and an answer breaks a blocking clause exactly when it builds the
 same clause, so that test is one set lookup.
@@ -99,8 +105,11 @@ SAT, UNSAT, RESOURCE_LIMIT = "SAT", "UNSAT", "RESOURCE_LIMIT"
 
 @dataclass
 class SolveResult:
+    """A solver's verdict.  A SAT result's ``literals`` are the literals its
+    answer makes true; a variable with neither literal there reads False."""
+
     status: str  # SAT | UNSAT | RESOURCE_LIMIT
-    assignment: dict[int, bool] | None = None
+    literals: frozenset[int] | None = None
     stats: SolveStats = field(default_factory=SolveStats)
 
 
@@ -108,18 +117,13 @@ class SolverError(Exception):
     pass
 
 
-def check_assignment(cnf: CnfInstance, assignment: dict[int, bool]) -> bool:
-    """True if ``assignment`` satisfies every clause of ``cnf``; a variable
-    it leaves out reads False."""
-    return _satisfies(_literals(assignment), cnf.clauses)
+def check_assignment(cnf: CnfInstance, literals: frozenset[int]) -> bool:
+    """True if the answer whose true literals are ``literals`` satisfies
+    every clause of ``cnf``; a variable with neither literal reads False."""
+    return _satisfies(literals, cnf.clauses)
 
 
-def _literals(assignment: dict[int, bool]) -> set[int]:
-    """The literals that ``assignment`` makes true, of the variables it sets."""
-    return {v if b else -v for v, b in assignment.items()}
-
-
-def _satisfies(lits: set[int], clauses) -> bool:
+def _satisfies(lits: frozenset[int], clauses) -> bool:
     """True if every clause in ``clauses`` holds under the assignment whose
     true literals are ``lits``; a variable with neither literal in ``lits``
     reads False.  Each clause is tested against ``lits`` at C speed; only a
@@ -141,16 +145,16 @@ class _FormulaCheck:
     exactly when its positive literal is among the answer's true literals,
     so the changed variables are the positive literals in the symmetric
     difference of the two answers' true literals.  The record of the last
-    answer is the check's own set, so a caller who edits an answer's dict
-    cannot weaken the check.  The occurrence index is built for the second
+    answer is the answer itself: a frozenset, so no caller can edit it to
+    weaken the check.  The occurrence index is built for the second
     answer, so a single answer costs a plain test of every clause."""
 
     def __init__(self, clauses: tuple[tuple[int, ...], ...]):
         self.clauses = clauses
-        self.last: set[int] | None = None
+        self.last: frozenset[int] | None = None
         self.occurs: dict[int, list[int]] | None = None
 
-    def passes(self, lits: set[int]) -> bool:
+    def passes(self, lits: frozenset[int]) -> bool:
         """Test the answer with true literals ``lits``; keep it as the last
         answer if it passes."""
         if self.last is None:
@@ -730,10 +734,8 @@ class _Cdcl:
                 self.cancel_until(0)
                 continue
             v = self._pick_branch_var()
-            if v == 0:
-                val = self.val
-                model = {v: val[v] == 1 for v in range(1, self.nv + 1)}
-                return SolveResult(SAT, model, self.stats)
+            if v == 0:  # the trail holds one literal of every variable
+                return SolveResult(SAT, frozenset(self.trail), self.stats)
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
             self.enqueue(v if self.phase[v] else -v, None)
@@ -795,12 +797,13 @@ def _answers(cnf: CnfInstance, cfg: SolverConfig, projection: list[int]) -> Iter
     every clause afresh.
     Every SAT answer is checked against the formula (by ``_FormulaCheck``)
     and the blocking clauses, as strictly as a test of every clause; a
-    variable it leaves out reads False, here and in the blocking clause.
-    An answer breaks a blocking clause only if it builds the same clause,
-    so the blocking clauses are a set and that check is one lookup.  Both
-    checks and the answer's blocking clause read the answer before it is
-    yielded.  ``cfg.limits.wall_seconds`` bounds the whole loop: each call
-    gets the time that is left."""
+    variable with neither literal in it reads False, here and in the
+    blocking clause.  An answer breaks a blocking clause only if it builds
+    the same clause, so the blocking clauses are a set and that check is
+    one lookup.  Both checks and the blocking clause read the answer's
+    frozenset of true literals, the object that is yielded.
+    ``cfg.limits.wall_seconds`` bounds the whole loop: each call gets the
+    time that is left."""
     wall = cfg.limits.wall_seconds
     deadline = None if wall is None else time.monotonic() + wall
     solver = (_Cdcl(cnf.num_vars, cfg.limits, deadline) if cfg.engine == "internal"
@@ -813,7 +816,7 @@ def _answers(cnf: CnfInstance, cfg: SolverConfig, projection: list[int]) -> Iter
         result = solver.solve()
         result.stats = replace(result.stats, solve_seconds=time.monotonic() - start)
         if result.status == SAT:
-            lits = _literals(result.assignment)
+            lits = result.literals
             if not formula.passes(lits):
                 raise SolverError("solver returned an assignment that does not satisfy the formula")
             clause = tuple(-v if v in lits else v for v in projection)
@@ -839,8 +842,9 @@ class _External:
     not started; both are reported as RESOURCE_LIMIT.  There is no portable
     way to give an arbitrary binary a conflict limit, so
     ``SolverLimits.conflicts`` does not apply here.  The verdict is read from
-    the 's' line; an exit code of 10 or 20 that disagrees with it, or an
-    executable that cannot be run, raises SolverError."""
+    the 's' line; an exit code of 10 or 20 that disagrees with it, a 'v'
+    literal outside ``±1..num_vars``, or an executable that cannot be run,
+    raises SolverError."""
 
     def __init__(self, engine: str, num_vars: int, deadline: float | None):
         self.engine = engine
@@ -880,6 +884,10 @@ class _External:
         if expected != result.status:
             raise SolverError(f"external solver exited with code {proc.returncode} "
                               f"but reported {result.status}")
+        n = self.num_vars
+        bad = next((l for l in result.literals or () if not -n <= l <= n), None)
+        if bad is not None:
+            raise SolverError(f"external solver set literal {bad}, outside the variables 1..{n}")
         return result
 
 
@@ -947,7 +955,9 @@ def _dimacs_int(tok: str, number: int) -> int:
 
 
 def parse_dimacs_result(text: str) -> SolveResult:
-    """Parse SAT-competition style solver output ('s' and 'v' lines)."""
+    """Parse SAT-competition style solver output ('s' and 'v' lines).  A SAT
+    answer's literals are its 'v' literals; a variable set both ways raises
+    SolverError."""
     status = None
     lits: list[int] = []
     seen_v = False
@@ -972,4 +982,8 @@ def parse_dimacs_result(text: str) -> SolveResult:
         return SolveResult(status)
     if not seen_v:
         raise SolverError("SAT result without 'v' assignment lines")
-    return SolveResult(SAT, {abs(l): l > 0 for l in lits if l != 0})
+    literals = frozenset(l for l in lits if l != 0)
+    both = sorted(l for l in literals if l > 0 and -l in literals)
+    if both:
+        raise SolverError(f"'v' lines set variable {both[0]} both true and false")
+    return SolveResult(SAT, literals)

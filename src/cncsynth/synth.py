@@ -35,47 +35,50 @@ class SoundnessError(Exception):
 
 @dataclass
 class SynthResult:
+    """A synthesis verdict.  ``literals`` are the true literals of the SAT
+    answer that ``model`` was decoded from (see ``sat.SolveResult``)."""
+
     outcome: SynthOutcome
     model: CncModel | None
     evaluation: EvaluationResult | None
     stats: SolveStats
     encoding: Encoding
-    assignment: dict[int, bool] | None = None
+    literals: frozenset[int] | None = None
 
 
-def verify_closures(enc: Encoding, assignment: dict[int, bool], model: CncModel) -> None:
+def verify_closures(enc: Encoding, literals: frozenset[int], model: CncModel) -> None:
     """Check that the solver's reach/subt variables are exactly the transitive
     closures of the decoded model's containment and of the connectors between
-    used port slots.  The assignment is read through the encoding's ``subt``,
-    ``used``, ``conn`` and ``reach`` tables; a variable it leaves out reads
-    False."""
-    true = assignment.get
+    used port slots.  The answer's true ``literals`` are read through the
+    encoding's ``subt``, ``used``, ``conn`` and ``reach`` tables; a variable
+    with neither literal there reads False."""
     contains = model.contains
     for c, row in enc.subt.items():
         for d, v in row.items():
             truth = (c, d) in contains
-            if true(v, False) != truth:
-                raise SoundnessError(f"subt({c}, {d}) is {true(v)}, closure says {truth}")
+            if (v in literals) != truth:
+                raise SoundnessError(f"subt({c}, {d}) is {v in literals}, closure says {truth}")
 
-    used = {p for p, v in enc.used.items() if true(v, False)}
-    reach = transitive_closure({p: [q for q, v in enc.conn[p].items() if true(v, False) and q in used]
+    used = {p for p, v in enc.used.items() if v in literals}
+    reach = transitive_closure({p: [q for q, v in enc.conn[p].items() if v in literals and q in used]
                                 for p in used})
     for p, row in enumerate(enc.reach):
         for q, v in row.items():
             truth = (p, q) in reach
-            if true(v, False) != truth:
-                raise SoundnessError(f"reach({p}, {q}) is {true(v)}, closure says {truth}")
+            if (v in literals) != truth:
+                raise SoundnessError(f"reach({p}, {q}) is {v in literals}, closure says {truth}")
 
 
-def _decode_verified(enc: Encoding, assignment: dict[int, bool],
+def _decode_verified(enc: Encoding, literals: frozenset[int],
                      spec: ResolvedSpec) -> tuple[CncModel, EvaluationResult]:
-    """Decode ``assignment`` and verify the model: its closures against the
-    solver's, its well-formedness and the full specification."""
+    """Decode the answer with true ``literals`` and verify the model: its
+    closures against the solver's, its well-formedness and the full
+    specification."""
     try:
-        model = decode(enc, assignment)
+        model = decode(enc, literals)
     except ValueError as exc:
         raise SoundnessError(f"cannot decode the assignment: {exc}") from exc
-    verify_closures(enc, assignment, model)
+    verify_closures(enc, literals, model)
     bad = validate_model(model, allow_multiple_tops=bool(spec.style.tops))
     if bad:
         raise SoundnessError("decoded model is ill-formed: " + "; ".join(str(v) for v in bad))
@@ -145,8 +148,8 @@ def synthesize(spec: ResolvedSpec, scope: Scope | None = None,
         if result.status != SAT:
             outcome = SynthOutcome.RESOURCE_LIMIT if result.status == RESOURCE_LIMIT else SynthOutcome.UNSAT
             return SynthResult(outcome, None, None, result.stats, enc)
-        model, evaluation = _decode_verified(enc, result.assignment, spec)
-        return SynthResult(SynthOutcome.SAT, model, evaluation, result.stats, enc, result.assignment)
+        model, evaluation = _decode_verified(enc, result.literals, spec)
+        return SynthResult(SynthOutcome.SAT, model, evaluation, result.stats, enc, result.literals)
 
 
 def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
@@ -173,4 +176,4 @@ def enumerate_models(spec: ResolvedSpec, limit: int | None = None,
             raise TimeoutError("solver resource limit reached during enumeration")
         if result.status != SAT:
             return
-        yield _decode_verified(enc, result.assignment, spec)[0]
+        yield _decode_verified(enc, result.literals, spec)[0]

@@ -2,7 +2,8 @@
 
 Later criteria (closure exactness, the soundness gate) audit every model
 produced by the earlier ones, so the tests share a module-level RUNS
-registry of (label, spec, encoding, assignment, model) tuples.
+registry of (label, spec, encoding, literals, model) tuples, where
+``literals`` are the true literals of the SAT answer.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def rj_view(name: str):
 
 
 def enumerate_with_assignments(spec, limit=None, config=SolverConfig()):
-    """Like synth.enumerate_models, but keeps the raw assignments so the
-    closure-exactness criterion can audit them afterwards."""
+    """Like synth.enumerate_models, but keeps the raw assignments, as their
+    true literals, so the closure-exactness criterion can audit them
+    afterwards."""
     enc = encode(spec)
     out = []
     for result in iter_assignments(enc.cnf, config, list(enc.structural_vars)):
@@ -66,15 +68,15 @@ def enumerate_with_assignments(spec, limit=None, config=SolverConfig()):
             raise TimeoutError("resource limit during enumeration")
         if result.status != SAT:
             break
-        model = decode(enc, result.assignment)
-        out.append((enc, dict(result.assignment), model))
+        model = decode(enc, result.literals)
+        out.append((enc, result.literals, model))
         if limit is not None and len(out) >= limit:
             break
     return out
 
 
-def register(label, spec, enc, assignment, model):
-    RUNS.append((label, spec, enc, assignment, model))
+def register(label, spec, enc, literals, model):
+    RUNS.append((label, spec, enc, literals, model))
 
 
 # --- 1. Synthesis from the base specification ---------------------------------
@@ -101,7 +103,7 @@ def test_criterion_1_base_specification_synthesis():
     spec = load_spec(str(RJ / "S1.cncspec"))
     result = synthesize(spec)
     assert result.outcome is SynthOutcome.SAT
-    register("S1", spec, result.encoding, result.assignment, result.model)
+    register("S1", spec, result.encoding, result.literals, result.model)
 
 
 # --- 2. Conflict detection and repair ------------------------------------------
@@ -115,7 +117,7 @@ def test_criterion_2_conflict_detection_and_repair():
     spec = load_spec(str(RJ / "S2Fixed.cncspec"))
     result = synthesize(spec)
     assert result.outcome is SynthOutcome.SAT
-    register("S2Fixed", spec, result.encoding, result.assignment, result.model)
+    register("S2Fixed", spec, result.encoding, result.literals, result.model)
 
 
 # --- 3. Amplifier placement follows the sensor position -------------------------
@@ -125,8 +127,8 @@ def test_criterion_3_amplifier_dependent_structure():
     spec = load_spec(str(RJ / "S1amp.cncspec"))
     runs = enumerate_with_assignments(spec, limit=5)
     assert len(runs) >= 5
-    for enc, assignment, m in runs:
-        register("S1amp", spec, enc, assignment, m)
+    for enc, literals, m in runs:
+        register("S1amp", spec, enc, literals, m)
         if contains_transitive(m, "Body", "Sensor"):
             assert "Amplifier" not in m.by_name
         else:
@@ -140,13 +142,13 @@ def test_criterion_3_amplifier_dependent_structure():
     assert r_in.outcome is SynthOutcome.SAT
     assert contains_transitive(r_in.model, "Body", "Sensor")
     assert "Amplifier" not in r_in.model.by_name
-    register("S1amp+In", spec, r_in.encoding, r_in.assignment, r_in.model)
+    register("S1amp+In", spec, r_in.encoding, r_in.literals, r_in.model)
 
     r_out = synthesize(forced("BodySensorOut"))
     assert r_out.outcome is SynthOutcome.SAT
     assert not contains_transitive(r_out.model, "Body", "Sensor")
     assert contains_transitive(r_out.model, "Sensor", "Amplifier")
-    register("S1amp+Out", spec, r_out.encoding, r_out.assignment, r_out.model)
+    register("S1amp+Out", spec, r_out.encoding, r_out.literals, r_out.model)
 
 
 # --- 4. Library components stay black boxes ------------------------------------
@@ -155,8 +157,8 @@ def test_criterion_4_library_component():
     spec = load_spec(str(RJ / "S1lib.cncspec"))
     runs = enumerate_with_assignments(spec, limit=10)
     assert runs
-    for enc, assignment, m in runs:
-        register("S1lib", spec, enc, assignment, m)
+    for enc, literals, m in runs:
+        register("S1lib", spec, enc, literals, m)
         sv = m.by_name["ServoValve"]
         assert not sv.subcomponents
         assert {(p.name, p.direction, p.type) for p in sv.ports} == {
@@ -172,8 +174,8 @@ def test_criterion_5_hierarchical_style():
     # than finding models, and the criterion quantifies over emitted models.
     runs = enumerate_with_assignments(spec, limit=3)
     assert runs
-    for enc, assignment, m in runs:
-        register("S1hier", spec, enc, assignment, m)
+    for enc, literals, m in runs:
+        register("S1hier", spec, enc, literals, m)
         assert oracle_is_acyclic(oracle_end_to_end_edges(m))
 
 
@@ -271,27 +273,27 @@ def test_criterion_7_checker_matches_oracle():
 def test_criterion_8_closure_exactness():
     assert RUNS, "earlier criteria must have registered synthesis runs"
     mismatches = 0
-    for label, spec, enc, assignment, model in RUNS:
+    for label, spec, enc, literals, model in RUNS:
         vm, scope = enc.varmap, enc.scope
         cont = _containment_closure(model)
         for c in scope.components:
             for d in scope.components:
                 v = vm.get("subt", c, d)
-                if v is not None and assignment.get(v, False) != ((c, d) in cont):
+                if v is not None and (v in literals) != ((c, d) in cont):
                     mismatches += 1
 
         slot_ref = {}
         for p in range(scope.ports):
             v = vm.get("used", p)
-            if v is None or not assignment.get(v, False):
+            if v is None or v not in literals:
                 continue
             owner = next(c for c in scope.components
-                         if assignment.get(vm.get("owner", p, c), False))
+                         if vm.get("owner", p, c) in literals)
             name = next(n for n in scope.port_names
-                        if assignment.get(vm.get("pname", p, n), False))
+                        if vm.get("pname", p, n) in literals)
             slot_ref[p] = (owner, name)
         edges = {(s, t) for s in slot_ref for t in slot_ref
-                 if s != t and assignment.get(vm.get("conn", s, t), False)}
+                 if s != t and vm.get("conn", s, t) in literals}
         closure = set(edges)
         changed = True
         while changed:
@@ -306,7 +308,7 @@ def test_criterion_8_closure_exactness():
                 if p == q:
                     continue
                 v = vm.get("reach", p, q)
-                if v is not None and assignment.get(v, False) != ((p, q) in closure):
+                if v is not None and (v in literals) != ((p, q) in closure):
                     mismatches += 1
     assert mismatches == 0
 
@@ -316,7 +318,7 @@ def test_criterion_8_closure_exactness():
 def test_criterion_9_soundness_gate():
     assert RUNS, "earlier criteria must have registered synthesis runs"
     failures = 0
-    for label, spec, enc, assignment, model in RUNS:
+    for label, spec, enc, literals, model in RUNS:
         multi_ok = spec.style.kind in (StyleKind.CLIENT_SERVER, StyleKind.LAYERED)
         if validate_model(model, allow_multiple_tops=multi_ok):
             failures += 1

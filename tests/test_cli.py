@@ -80,6 +80,20 @@ def test_synth_with_a_missing_solver_is_an_internal_error(tmp_path):
     assert f"internal error: cannot run external solver {str(missing)!r}" in p.stderr
 
 
+@pytest.mark.parametrize("model_line, message", [
+    ("v 1 -1 2 0", "'v' lines set variable 1 both true and false"),
+    ("v 1 -2 99999 0", "external solver set literal 99999, outside the variables 1..397"),
+])
+def test_synth_with_a_solver_that_prints_a_malformed_model_is_an_internal_error(tmp_path, model_line,
+                                                                                message):
+    solver = tmp_path / "fake-solver"
+    solver.write_text(f"#!{sys.executable}\nimport sys\nprint('s SATISFIABLE\\n{model_line}')\nsys.exit(10)\n")
+    solver.chmod(0o755)
+    p = run("synth", SPEC, "--solver", str(solver))
+    assert p.returncode == 3
+    assert p.stderr == f"internal error: {message}\n"
+
+
 def test_solver_env_var_names_the_solver_and_the_flag_wins(tmp_path):
     from_env, from_flag = tmp_path / "env-solver", tmp_path / "flag-solver"
     env = {"CNCSYNTH_SOLVER": str(from_env)}

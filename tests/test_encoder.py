@@ -257,12 +257,12 @@ def test_enumeration_completeness_with_abstract_connector():
 # replaced, one `VarMap.get` per variable, kept as the reference: both must
 # give the same models and the same verdicts.
 
-def reference_decode(enc, assignment: dict[int, bool]) -> CncModel:
+def reference_decode(enc, literals: frozenset[int]) -> CncModel:
     vm, scope = enc.varmap, enc.scope
 
     def truth(*key) -> bool:
         v = vm.get(*key)
-        return v is not None and assignment.get(v, False)
+        return v is not None and v in literals
 
     def first(p: int, kind: str, values):
         for x in values:
@@ -293,31 +293,31 @@ def reference_decode(enc, assignment: dict[int, bool]) -> CncModel:
     return CncModel(tuple(components), tuple(connectors))
 
 
-def reference_verify_closures(enc, assignment: dict[int, bool], model: CncModel) -> None:
+def reference_verify_closures(enc, literals: frozenset[int], model: CncModel) -> None:
     vm, scope = enc.varmap, enc.scope
     for c, d in itertools.permutations(scope.components, 2):
         v = vm.get("subt", c, d)
         if v is None:
             continue
         truth = (c, d) in model.contains
-        if assignment.get(v, False) != truth:
-            raise SoundnessError(f"subt({c}, {d}) is {assignment.get(v)}, closure says {truth}")
-    used = [p for p in range(scope.ports) if assignment.get(vm.get("used", p), False)]
-    reach = transitive_closure({p: [q for q in used if q != p and assignment.get(vm.get("conn", p, q), False)]
+        if (v in literals) != truth:
+            raise SoundnessError(f"subt({c}, {d}) is {v in literals}, closure says {truth}")
+    used = [p for p in range(scope.ports) if vm.get("used", p) in literals]
+    reach = transitive_closure({p: [q for q in used if q != p and vm.get("conn", p, q) in literals]
                                 for p in used})
     for p, q in itertools.permutations(range(scope.ports), 2):
         v = vm.get("reach", p, q)
         if v is None:
             continue
         truth = (p, q) in reach
-        if assignment.get(v, False) != truth:
-            raise SoundnessError(f"reach({p}, {q}) is {assignment.get(v)}, closure says {truth}")
+        if (v in literals) != truth:
+            raise SoundnessError(f"reach({p}, {q}) is {v in literals}, closure says {truth}")
 
 
-def closure_verdict(check, enc, assignment: dict[int, bool], model: CncModel) -> str | None:
+def closure_verdict(check, enc, literals: frozenset[int], model: CncModel) -> str | None:
     """The message of the SoundnessError ``check`` raises, or None."""
     try:
-        check(enc, assignment, model)
+        check(enc, literals, model)
     except SoundnessError as exc:
         return str(exc)
     return None
@@ -327,10 +327,10 @@ def lander() -> ResolvedSpec:
     return load_spec(str(FIXTURES / "lunar_lander" / "Lander.cncspec"))
 
 
-def sat_answers(enc, limit: int | None = None) -> list[dict[int, bool]]:
+def sat_answers(enc, limit: int | None = None) -> list[frozenset[int]]:
     """The SAT answers of the enumeration of ``enc``, up to ``limit``."""
     results = itertools.islice(iter_assignments(enc.cnf, projection=list(enc.structural_vars)), limit)
-    return [r.assignment for r in results if r.status == SAT]
+    return [r.literals for r in results if r.status == SAT]
 
 
 def closure_vars(enc) -> list[int]:
@@ -361,10 +361,10 @@ def test_verify_closures_matches_the_reference_on_tampered_answers():
     for spec in specs:
         result = synthesize(spec)
         assert result.outcome is SynthOutcome.SAT
-        enc, a = result.encoding, result.assignment
+        enc, a = result.encoding, result.literals
         assert closure_vars(enc)
         for v in closure_vars(enc):
-            flipped = {**a, v: not a[v]}
+            flipped = a ^ {v, -v}
             verdict = closure_verdict(verify_closures, enc, flipped, result.model)
             assert verdict is not None
             assert verdict == closure_verdict(reference_verify_closures, enc, flipped, result.model)
@@ -380,7 +380,7 @@ def test_decoding_numbers_no_variable():
     assert (enc.varmap.num_vars, enc.cnf.num_vars) == numbered
     for v in closure_vars(enc):
         with pytest.raises(SoundnessError):
-            synth._decode_verified(enc, {**answers[0], v: not answers[0][v]}, spec)
+            synth._decode_verified(enc, answers[0] ^ {v, -v}, spec)
     assert (enc.varmap.num_vars, enc.cnf.num_vars) == numbered
     # The tables are closed: a key with no variable is not numbered.
     c = enc.scope.components[0]

@@ -68,7 +68,7 @@ def test_random_formulas_match_truth_tables():
         expected = truth_table_sat(cnf.num_vars, cnf.clauses)
         assert (result.status == SAT) == expected
         if expected:
-            assert check_assignment(cnf, result.assignment)
+            assert check_assignment(cnf, result.literals)
         if any(len(c) > 2 for c in cnf.clauses):
             # The root check of add_clauses refuted the draw if it propagated
             # and failed; one that passes restores the count to 0, and a load
@@ -104,7 +104,7 @@ def test_a_root_check_without_conflict_leaves_nothing_behind():
     assert all(r is None for r in solver.reason)
     assert watched(solver) == {-3: [[-3, 4, 5]], 4: [[-3, 4, 5]], 1: [[1, -4, 5]], -4: [[1, -4, 5]]}
     result = solve(cnf)
-    assert result.status == SAT and check_assignment(cnf, result.assignment)
+    assert result.status == SAT and check_assignment(cnf, result.literals)
 
 
 def test_trivial_instances():
@@ -112,7 +112,7 @@ def test_trivial_instances():
     assert solve(CnfInstance(1, ((1,), (-1,)))).status == UNSAT
     assert solve(CnfInstance(2, ((),))).status == UNSAT  # empty clause
     r = solve(CnfInstance(2, ((1, 2),)))
-    assert r.status == SAT and check_assignment(CnfInstance(2, ((1, 2),)), r.assignment)
+    assert r.status == SAT and check_assignment(CnfInstance(2, ((1, 2),)), r.literals)
 
 
 def test_determinism():
@@ -120,7 +120,7 @@ def test_determinism():
     cnf = random_cnf(rng)
     a = solve(cnf, SolverConfig())
     b = solve(cnf, SolverConfig())
-    assert a.status == b.status and a.assignment == b.assignment
+    assert a.status == b.status and a.literals == b.literals
     assert a.stats.conflicts == b.stats.conflicts
 
 
@@ -191,7 +191,7 @@ def test_parse_dimacs_errors():
 
 def test_parse_dimacs_result():
     sat = parse_dimacs_result("c x\ns SATISFIABLE\nv 1 -2\nv 3 0\n")
-    assert sat.status == SAT and sat.assignment == {1: True, 2: False, 3: True}
+    assert sat.status == SAT and sat.literals == {1, -2, 3} and type(sat.literals) is frozenset
     assert parse_dimacs_result("s UNSATISFIABLE\n").status == UNSAT
     assert parse_dimacs_result("s UNKNOWN\n").status == RESOURCE_LIMIT
     with pytest.raises(SolverError):
@@ -200,9 +200,19 @@ def test_parse_dimacs_result():
         parse_dimacs_result("s SATISFIABLE\n")  # missing v lines
     # A solver that prints only its true literals answers an all-false model
     # with a bare terminator.
-    assert parse_dimacs_result("s SATISFIABLE\nv 0\n").assignment == {}
-    with pytest.raises(SolverError, match="line 3: 'x' is not an integer"):
-        parse_dimacs_result("s SATISFIABLE\nv 1 -2\nv x 0\n")
+    assert parse_dimacs_result("s SATISFIABLE\nv 0\n").literals == frozenset()
+    # A literal repeated with the same sign is one literal.
+    assert parse_dimacs_result("s SATISFIABLE\nv 2 -1\nv 2 0\n").literals == {-1, 2}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("s SATISFIABLE\nv 1 -2\nv x 0\n", "line 3: 'x' is not an integer"),
+    ("s SATISFIABLE\nv 1 -1 2 0\n", "'v' lines set variable 1 both true and false"),
+    ("s SATISFIABLE\nv -3 2\nv 1 3 0\n", "'v' lines set variable 3 both true and false"),
+])
+def test_parse_dimacs_result_rejects_a_malformed_model(text, message):
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        parse_dimacs_result(text)
 
 
 def test_iter_assignments_enumerates_projection_exactly():
@@ -211,10 +221,10 @@ def test_iter_assignments_enumerates_projection_exactly():
     cnf = CnfInstance(3, ((1, 2),))
     results = list(iter_assignments(cnf, projection=[1, 2]))
     assert [r.status for r in results] == [SAT, SAT, SAT, UNSAT]
-    seen = {(r.assignment[1], r.assignment[2]) for r in results[:3]}
+    seen = {(1 in r.literals, 2 in r.literals) for r in results[:3]}
     assert seen == {(True, True), (True, False), (False, True)}
     for r in results[:3]:
-        assert assignment_satisfies(cnf.clauses, r.assignment)
+        assert assignment_satisfies(cnf.clauses, {v: v in r.literals for v in range(1, 4)})
 
 
 @st.composite
@@ -241,7 +251,7 @@ def test_enumeration_matches_brute_force(case):
     results = list(iter_assignments(cnf, projection=projection))
     assert [r.status for r in results] == [SAT] * (len(results) - 1) + [UNSAT]
     proj = sorted(projection)
-    found = [tuple(r.assignment[v] for v in proj) for r in results[:-1]]
+    found = [tuple(v in r.literals for v in proj) for r in results[:-1]]
     assert len(found) == len(set(found))
     assert set(found) == projected_models(cnf.num_vars, cnf.clauses, proj)
 
@@ -298,7 +308,7 @@ def test_the_first_enumerated_answer_is_the_solve_answer(path):
     enc = encode(load_spec(str(path)))
     alone = solve(enc.cnf)
     first = next(iter_assignments(enc.cnf, projection=list(enc.structural_vars)))
-    assert first.status == alone.status == SAT and first.assignment == alone.assignment
+    assert first.status == alone.status == SAT and first.literals == alone.literals
     counts = (alone.stats.conflicts, alone.stats.decisions, alone.stats.propagations)
     assert (first.stats.conflicts, first.stats.decisions, first.stats.propagations) == counts
 
@@ -328,7 +338,7 @@ def test_iter_assignments_rejects_a_projection_entry_outside_the_formula(entry):
 def test_iter_assignments_deduplicates_a_repeated_projection_entry():
     results = list(iter_assignments(CnfInstance(2, ((1, 2),)), projection=[2, 1, 2]))
     assert [r.status for r in results] == [SAT, SAT, SAT, UNSAT]
-    assert len({(r.assignment[1], r.assignment[2]) for r in results[:3]}) == 3
+    assert len({(1 in r.literals, 2 in r.literals) for r in results[:3]}) == 3
 
 
 # --- the search is pinned: a change to the solver's bookkeeping must not move
@@ -386,19 +396,19 @@ def test_search_counts_lander_enumeration():
     assert counts == {50: (41, 243, 3529), 250: (113, 923, 10898)}
 
 
-def test_every_sat_answer_maps_each_variable_to_a_bool():
+def test_every_sat_answer_is_a_frozenset_of_one_literal_per_variable():
     # Every SAT answer, of `solve` and of each step of `iter_assignments`,
-    # has exactly the keys 1..num_vars, each mapped to a bool.
+    # is a frozenset that holds exactly one of v and -v for each variable.
     f = Cnf3Formula(4, ((1, -2, 3), (-1, 2, 4), (2, 3, -4), (-3,)))
     encodings = [encode(load_spec(str(LANDER / "Lander.cncspec"))),
                  encode(resolve(reduce_3sat(f)), reduction_scope(f))]
     for enc in encodings:
         steps = itertools.islice(iter_assignments(enc.cnf, projection=list(enc.structural_vars)), 250)
-        answers = [r.assignment for r in [solve(enc.cnf), *steps] if r.status == SAT]
+        answers = [r.literals for r in [solve(enc.cnf), *steps] if r.status == SAT]
         assert len(answers) > 2
         for a in answers:
-            assert a.keys() == set(range(1, enc.cnf.num_vars + 1))
-            assert all(type(x) is bool for x in a.values())
+            assert type(a) is frozenset
+            assert sorted(map(abs, a)) == list(range(1, enc.cnf.num_vars + 1))
 
 
 def test_solve_seconds_set_on_unsat_and_resource_limit():
@@ -425,7 +435,7 @@ def test_each_enumerated_answer_keeps_its_own_stats():
 def test_clause_loading_normalizes_clauses():
     # Repeated literals are merged, tautologies dropped, and a clause that
     # shrinks to a unit or is empty is handled as such.
-    assert solve(CnfInstance(2, ((1, 1), (-1, -1, 2), (-2, 2, 1)))).assignment == {1: True, 2: True}
+    assert solve(CnfInstance(2, ((1, 1), (-1, -1, 2), (-2, 2, 1)))).literals == {1, 2}
     assert solve(CnfInstance(2, ((1, 1, 1), (-1,)))).status == UNSAT
     assert solve(CnfInstance(3, ((1, -1), (2, 3, 2, -3)))).status == SAT
 
@@ -522,7 +532,7 @@ def test_loader_matches_the_reference_loader(cnf):
     assert (result.status == SAT) == truth_table_sat(cnf.num_vars, cnf.clauses)
     if result.status == SAT:
         # Every variable has a value, the unused ones too.
-        assert list(result.assignment) == list(range(1, cnf.num_vars + 1))
+        assert sorted(map(abs, result.literals)) == list(range(1, cnf.num_vars + 1))
 
 
 def literals(solver: sat._Cdcl) -> range:
@@ -557,29 +567,29 @@ def test_a_longer_clause_that_shrinks_to_two_literals_joins_the_root_check():
 
 def test_check_assignment_reads_absent_variables_as_false():
     cnf = CnfInstance(3, ((1, -2), (-3,)))
-    assert check_assignment(cnf, {1: True})
-    assert not check_assignment(CnfInstance(3, ((2, 3),)), {1: True})
-    assert check_assignment(CnfInstance(3, ((2, -3),)), {})
+    assert check_assignment(cnf, frozenset({1}))
+    assert not check_assignment(CnfInstance(3, ((2, 3),)), frozenset({1}))
+    assert check_assignment(CnfInstance(3, ((2, -3),)), frozenset())
 
 
 def test_check_assignment_rejects_a_single_violated_clause():
     cnf = CnfInstance(3, ((1, 2), (-1, 3), (2, 3), (-2, -3, 1)))
-    assert check_assignment(cnf, {1: True, 2: False, 3: True})
-    assert not check_assignment(cnf, {1: False, 2: False, 3: True})  # only (1, 2) fails
+    assert check_assignment(cnf, frozenset({1, -2, 3}))
+    assert not check_assignment(cnf, frozenset({-1, -2, 3}))  # only (1, 2) fails
 
 
 def test_iter_assignments_rejects_a_model_that_breaks_a_blocking_clause(monkeypatch):
     # Replay the first model on the second call: it satisfies the original
     # clause but not the blocking clause added after it.
     real_solve = sat._Cdcl.solve
-    first: dict[int, bool] = {}
+    first: list[frozenset[int]] = []
 
     def replay(self):
         result = real_solve(self)
         if first:
-            result.assignment = dict(first)
+            result.literals = first[0]
         else:
-            first.update(result.assignment)
+            first.append(result.literals)
         return result
 
     monkeypatch.setattr(sat._Cdcl, "solve", replay)
@@ -595,7 +605,7 @@ def test_solve_rejects_a_model_that_breaks_a_formula_clause(monkeypatch):
 
     def flip(self):
         result = real_solve(self)
-        result.assignment[1] = not result.assignment[1]
+        result.literals ^= {1, -1}
         return result
 
     monkeypatch.setattr(sat._Cdcl, "solve", flip)
@@ -604,8 +614,8 @@ def test_solve_rejects_a_model_that_breaks_a_formula_clause(monkeypatch):
 
 
 def replace_answer(monkeypatch, call: int, edit) -> None:
-    """Make the internal engine's ``call``-th solve (1-based) return its
-    answer as ``edit`` leaves it."""
+    """Make the internal engine's ``call``-th solve (1-based) return, in
+    place of its answer's literals, what ``edit`` makes of them."""
     real_solve = sat._Cdcl.solve
     calls = []
 
@@ -613,52 +623,78 @@ def replace_answer(monkeypatch, call: int, edit) -> None:
         result = real_solve(self)
         calls.append(result)
         if len(calls) == call:
-            edit(result.assignment)
+            result.literals = edit(result.literals)
         return result
 
     monkeypatch.setattr(sat._Cdcl, "solve", patched)
 
 
-@pytest.mark.parametrize("edit", [lambda a: a.update({3: False}), lambda a: a.pop(3)],
+@pytest.mark.parametrize("edit", [lambda a: a - {3} | {-3}, lambda a: a - {3}],
                          ids=["set-false", "left-out"])
 def test_a_later_answer_that_breaks_a_clause_through_a_changed_variable_is_rejected(monkeypatch, edit):
     # Every model sets x3; the second answer clears it, or leaves it out,
     # which reads False: only the unit clause (3,) breaks, and only through x3.
     replace_answer(monkeypatch, 2, edit)
     steps = iter_assignments(CnfInstance(3, ((1, 2), (3,))))
-    assert next(steps).assignment[3] is True
+    assert 3 in next(steps).literals
     with pytest.raises(SolverError, match="does not satisfy the formula"):
         next(steps)
 
 
 def test_editing_a_yielded_answer_hides_no_later_violation(monkeypatch):
-    # The caller clears x1 in the first answer.  The second answer clears x1
-    # too, breaking (1,): the check must compare it with the answer the
-    # solver gave, not with the edited dict.
-    replace_answer(monkeypatch, 2, lambda a: a.update({1: False}))
+    # The caller tries to clear x1 in the first answer.  The second answer
+    # clears x1, breaking (1,): the check must still compare it with the
+    # answer the solver gave.
+    replace_answer(monkeypatch, 2, lambda a: a - {1} | {-1})
     steps = iter_assignments(CnfInstance(2, ((1,),)))
-    next(steps).assignment[1] = False
+    answer = next(steps).literals
+    with pytest.raises(AttributeError):
+        answer.symmetric_difference_update({1, -1})
+    assert 1 in answer
     with pytest.raises(SolverError, match="does not satisfy the formula"):
         next(steps)
 
 
 def test_editing_a_yielded_answer_hides_no_repeat(monkeypatch):
-    # The caller flips x2 in the first answer, and the solver then repeats
-    # that first answer: the repeat must still be caught.
-    first: dict[int, bool] = {}
-    replace_answer(monkeypatch, 2, lambda a: (a.clear(), a.update(first)))
+    # The caller tries to flip x2 in the first answer, and the solver then
+    # repeats that first answer: the repeat must still be caught.
+    first: list[frozenset[int]] = []
+    replace_answer(monkeypatch, 2, lambda a: first[0])
     steps = iter_assignments(CnfInstance(2, ((1,),)))
-    answer = next(steps).assignment
-    first.update(answer)
-    answer[2] = not answer[2]
+    answer = next(steps).literals
+    first.append(answer)
+    with pytest.raises(AttributeError):
+        answer.symmetric_difference_update({2, -2})
     with pytest.raises(SolverError, match="repeats an earlier answer on the projection"):
         next(steps)
 
 
+def test_a_yielded_answer_cannot_be_edited_and_is_the_answer_checked(monkeypatch):
+    # The check keeps the yielded object as its record of the last answer,
+    # and a caller cannot edit that object to weaken the check.
+    checked = []
+    real_passes = sat._FormulaCheck.passes
+
+    def passes(self, lits):
+        checked.append(lits)
+        return real_passes(self, lits)
+
+    monkeypatch.setattr(sat._FormulaCheck, "passes", passes)
+    for cnf in (CnfInstance(2, ((1,),)), CnfInstance(3, ((1, 2), (-3, 2)))):
+        checked.clear()
+        answers = [r.literals for r in iter_assignments(cnf)][:-1]
+        assert len(answers) >= 2 and len(checked) == len(answers)
+        for answer, lits in zip(answers, checked):
+            assert lits is answer and type(answer) is frozenset
+            with pytest.raises(AttributeError):
+                answer.add(-1)
+
+
 @st.composite
-def cnf_and_answers(draw) -> tuple[CnfInstance, list[dict[int, bool]]]:
-    """A CNF and a sequence of answers over its variables: models and
-    arbitrary assignments, each with some variables left out."""
+def cnf_and_answers(draw) -> tuple[CnfInstance, list[frozenset[int]]]:
+    """A CNF and a sequence of answers over its variables, as their true
+    literals: models and arbitrary assignments, each with some variables
+    left out."""
     cnf, _ = draw(cnf_and_projection(max_vars=6, max_clauses=12))
     n = cnf.num_vars
     models = [bits for bits in itertools.product((False, True), repeat=n)
@@ -667,7 +703,7 @@ def cnf_and_answers(draw) -> tuple[CnfInstance, list[dict[int, bool]]]:
     if models:
         bits = st.sampled_from(models) | bits
     answer = st.tuples(bits, st.sets(st.integers(1, n), max_size=2)).map(
-        lambda t: {v: t[0][v - 1] for v in range(1, n + 1) if v not in t[1]})
+        lambda t: frozenset(v if t[0][v - 1] else -v for v in range(1, n + 1) if v not in t[1]))
     return cnf, draw(st.lists(answer, min_size=1, max_size=10))
 
 
@@ -680,8 +716,8 @@ def test_formula_check_matches_a_full_check_on_every_answer(case):
     check = sat._FormulaCheck(cnf.clauses)
     for a in answers:
         expected = check_assignment(cnf, a)
-        assert expected == all(any((l > 0) == a.get(abs(l), False) for l in c) for c in cnf.clauses)
-        assert check.passes(sat._literals(a)) == expected
+        assert expected == all(any((l > 0) == (abs(l) in a) for l in c) for c in cnf.clauses)
+        assert check.passes(a) == expected
 
 
 def test_later_lander_answers_are_checked_on_few_clauses(monkeypatch):
@@ -782,7 +818,7 @@ def test_external_calls_get_the_time_that_is_left(monkeypatch):
         r = solve(parse_dimacs(Path(cmd[1]).read_text()))
         if r.status != SAT:
             return subprocess.CompletedProcess(cmd, 20, "s UNSATISFIABLE\n", "")
-        lits = " ".join(str(v if b else -v) for v, b in r.assignment.items())
+        lits = " ".join(map(str, sorted(r.literals, key=abs)))
         return subprocess.CompletedProcess(cmd, 10, f"s SATISFIABLE\nv {lits} 0\n", "")
 
     monkeypatch.setattr(sat, "time", clock)
@@ -829,6 +865,16 @@ def test_external_solver_exit_code_disagrees(tmp_path, out, code):
         solve(CnfInstance(1, ((1,),)), cfg)
 
 
+@pytest.mark.parametrize("out, message", [
+    ("s SATISFIABLE\nv 1 -2 7 0", "external solver set literal 7, outside the variables 1..2"),
+    ("s SATISFIABLE\nv 1 2 -3 0", "external solver set literal -3, outside the variables 1..2"),
+])
+def test_external_solver_literal_outside_the_formula_is_a_solver_error(tmp_path, out, message):
+    cfg = fake_solver(tmp_path, f"print({out!r})\nsys.exit(10)")
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        solve(CnfInstance(2, ((1,),)), cfg)
+
+
 def test_external_solver_with_a_malformed_model_line_is_an_internal_error(tmp_path, capsys):
     cfg = fake_solver(tmp_path, 'print("s SATISFIABLE\\nv 1 x 0")\nsys.exit(10)')
     assert cli.main(["synth", str(LANDER / "Lander.cncspec"), "--solver", cfg.engine]) == 3
@@ -863,7 +909,7 @@ def test_external_enumeration_matches_internal(tmp_path):
 
     def projected(cfg):
         results = list(iter_assignments(cnf, cfg, projection=[1, 2]))
-        models = {(r.assignment.get(1, False), r.assignment.get(2, False)) for r in results[:-1]}
+        models = {(1 in r.literals, 2 in r.literals) for r in results[:-1]}
         return [r.status for r in results], models
 
     external = projected(fake_solver(tmp_path, BRUTE_FORCE))
@@ -875,7 +921,7 @@ def test_external_solver_all_false_model(tmp_path):
     # The brute-force solver prints "v 0" for a model with no true literal.
     cnf = CnfInstance(2, ((-1,), (-2, -1)))
     result = solve(cnf, fake_solver(tmp_path, BRUTE_FORCE))
-    assert result.status == SAT and check_assignment(cnf, result.assignment)
+    assert result.status == SAT and check_assignment(cnf, result.literals)
 
 
 def test_missing_external_solver_is_a_solver_error(tmp_path):
@@ -908,7 +954,7 @@ def test_external_engine_matches_internal(case):
     def answers(cfg):
         results = list(iter_assignments(cnf, cfg, projection))
         return ([r.status for r in results],
-                {tuple(r.assignment.get(v, False) for v in proj) for r in results[:-1]})
+                {tuple(v in r.literals for v in proj) for r in results[:-1]})
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subprocess, "run", brute_force_run)

@@ -112,27 +112,25 @@ def test_verify_closures_detects_tampering():
                      scope_hints=ScopeHints(ports=0, extra_names=0))
     result = synthesize(spec)
     assert result.outcome is SynthOutcome.SAT
-    enc, assignment = result.encoding, dict(result.assignment)
-    verify_closures(enc, assignment, result.model)  # sanity: intact passes
+    enc, lits = result.encoding, result.literals
+    verify_closures(enc, lits, result.model)  # sanity: intact passes
     v = enc.varmap.get("subt", "B", "A")
     assert v is not None
-    assignment[v] = not assignment.get(v, False)
     with pytest.raises(SoundnessError):
-        verify_closures(enc, assignment, result.model)
+        verify_closures(enc, lits ^ {v, -v}, result.model)
 
     spec = tiny_spec({"V": "component T { component A { port out int o; } component B { port in int i; } }"
                            " connect A.o -> B.i;"}, Var("V"))
     result = synthesize(spec)
     assert result.outcome is SynthOutcome.SAT
-    enc, assignment = result.encoding, dict(result.assignment)
+    enc, lits = result.encoding, result.literals
     reach = [v for p in range(enc.scope.ports) for q in range(enc.scope.ports)
              if (v := enc.varmap.get("reach", p, q)) is not None]
-    assert any(assignment.get(v, False) for v in reach) and not all(assignment.get(v, False) for v in reach)
-    verify_closures(enc, assignment, result.model)
+    assert any(v in lits for v in reach) and not all(v in lits for v in reach)
+    verify_closures(enc, lits, result.model)
     for v in reach:
-        flipped = {**assignment, v: not assignment.get(v, False)}
         with pytest.raises(SoundnessError, match="reach"):
-            verify_closures(enc, flipped, result.model)
+            verify_closures(enc, lits ^ {v, -v}, result.model)
 
 
 @pytest.mark.parametrize("kind", ["owner", "pname", "ptype"])
@@ -141,17 +139,16 @@ def test_a_used_slot_without_owner_name_or_type_is_a_soundness_error(kind, monke
     # slot, directly and inside an enumeration.
     spec = load_spec(str(LANDER / "Lander.cncspec"))
     result = synthesize(spec)
-    enc, assignment = result.encoding, dict(result.assignment)
+    enc, lits = result.encoding, result.literals
     vm, scope = enc.varmap, enc.scope
-    p = next(p for p in range(scope.ports) if assignment.get(vm.get("used", p), False))
+    p = next(p for p in range(scope.ports) if vm.get("used", p) in lits)
     values = {"owner": scope.components, "pname": scope.port_names, "ptype": scope.types}[kind]
-    for x in values:
-        if (v := vm.get(kind, p, x)) is not None:
-            assignment[v] = False
+    cleared = {v for x in values if (v := vm.get(kind, p, x)) is not None}
+    lits = lits - cleared | {-v for v in cleared}
     with pytest.raises(SoundnessError, match=f"used port slot {p} has no {kind}"):
-        synth._decode_verified(enc, assignment, spec)
+        synth._decode_verified(enc, lits, spec)
     monkeypatch.setattr(synth, "iter_assignments",
-                        lambda cnf, config, projection: iter([sat.SolveResult(sat.SAT, assignment)]))
+                        lambda cnf, config, projection: iter([sat.SolveResult(sat.SAT, lits)]))
     with pytest.raises(SoundnessError, match=f"used port slot {p} has no {kind}"):
         next(enumerate_models(spec))
 
@@ -164,7 +161,7 @@ def test_decoding_and_verifying_runs_the_well_formedness_rules_once(monkeypatch)
     runs = []
     real = model_module._rule_violations
     monkeypatch.setattr(model_module, "_rule_violations", lambda m: runs.append(m) or real(m))
-    model, evaluation = synth._decode_verified(result.encoding, result.assignment, spec)
+    model, evaluation = synth._decode_verified(result.encoding, result.literals, spec)
     assert model == result.model and evaluation.overall
     assert runs == [model] and runs[0] is model
 
