@@ -224,6 +224,10 @@ def cmd_reduce3sat(args: argparse.Namespace) -> int:
         f = Cnf3Formula.from_dimacs(text)
     except (SolverError, ValueError) as exc:
         raise CliError(f"{args.cnf}: {exc}") from None
+    if (args.out_dir or args.spec_only) and (f.num_vars == 0 or () in f.clauses):
+        why = ("it has no variables, so its spec would name no view" if f.num_vars == 0
+               else f"clause {f.clauses.index(()) + 1} is empty, which a spec formula cannot state")
+        raise CliError(f"{args.cnf}: {why}")
     if args.out_dir:
         spec = reduce_3sat(f)
         outd = Path(args.out_dir)
@@ -331,10 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce3sat", help="decide a DIMACS 3SAT instance via view synthesis")
     sp.add_argument("cnf")
-    sp.add_argument("--spec-only", action="store_true",
-                    help="emit the reduced instance's CNF encoding instead of solving")
-    sp.add_argument("-o", "--out-dir", dest="out_dir",
-                    help="write the reduced spec and view files to this directory instead of solving")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--spec-only", action="store_true",
+                      help="emit the reduced instance's CNF encoding instead of solving")
+    mode.add_argument("-o", "--out-dir", dest="out_dir",
+                      help="write the reduced spec and view files to this directory instead of solving")
     sp.add_argument("--json", action="store_true")
     _add_solver_args(sp)
     sp.set_defaults(func=cmd_reduce3sat)

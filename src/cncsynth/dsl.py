@@ -578,19 +578,22 @@ def print_model(m: CncModel) -> str:
 
 
 def print_view(v: CncView) -> str:
-    """Render a view in the .cncview syntax (immediate-child nesting only);
-    parse_view round-trips it."""
-    parents: dict[str, str] = {}
-    for c in v.components:
-        for ch in c.subcomponents:
-            parents.setdefault(ch, c.name)
+    """Render a view in the .cncview syntax; parse_view round-trips it.  A
+    component under several parents is printed in full once and as a bare
+    ``component C;`` fragment, which parse_view merges, under the others."""
+    nested = {ch for c in v.components for ch in c.subcomponents}
+    printed: set[str] = set()
     lines: list[str] = []
 
     def emit(name: str, indent: int) -> None:
         pad = "  " * indent
+        if name in printed:
+            lines.append(f"{pad}component {name};")
+            return
+        printed.add(name)
         c = v.by_name[name]
         stereo = "<<interface-complete>> " if name in v.interface_complete else ""
-        children = sorted(ch for ch in c.subcomponents if parents.get(ch) == name)
+        children = sorted(c.subcomponents)
         if not c.ports and not children:
             lines.append(f"{pad}{stereo}component {name};")
             return
@@ -601,8 +604,9 @@ def print_view(v: CncView) -> str:
             emit(ch, indent + 1)
         lines.append(f"{pad}}}")
 
-    for c in v.components:
-        if c.name not in parents:
+    # The tops first; a component left after them is on a containment cycle.
+    for c in sorted(v.components, key=lambda c: c.name in nested):
+        if c.name not in printed:
             emit(c.name, 0)
     for ac in v.abs_connectors:
         lines.append(f"connect {ac};")

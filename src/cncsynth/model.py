@@ -161,9 +161,9 @@ class CncModel:
         return transitive_closure(edges)
 
     @cached_property
-    def rule_violations(self) -> tuple[tuple[Violation, ...], tuple[Violation, ...]]:
-        """The model's broken well-formedness rules other than the single-top
-        rule, split where :func:`validate_model` reports that rule: the
+    def rule_violations(self) -> tuple[Violation, ...]:
+        """The model's broken well-formedness rules, the single-top rule
+        included, in the order :func:`validate_model` reports them: the
         model is immutable, so each rule runs once per model."""
         return _rule_violations(self)
 
@@ -276,21 +276,17 @@ def validate_model(m: CncModel, allow_multiple_tops: bool = False) -> list[Viola
     Returns an empty list iff the model is well-formed.  With
     ``allow_multiple_tops`` the single-top rule is relaxed (used by the
     client-server and layered styles, which designate several top
-    components).  The other rules run once per model (see
+    components).  The rules run once per model (see
     :attr:`CncModel.rule_violations`).
     """
-    before, after = m.rule_violations
-    out = list(before)
-    if not allow_multiple_tops and len(m.components) > 0 and len(m.tops) != 1:
-        out.append(Violation("top-count", ", ".join(m.tops) or "<none>",
-                             f"model has {len(m.tops)} top components, expected exactly 1"))
-    out.extend(after)
-    return out
+    if allow_multiple_tops:
+        return [v for v in m.rule_violations if v.code != "top-count"]
+    return list(m.rule_violations)
 
 
-def _rule_violations(m: CncModel) -> tuple[tuple[Violation, ...], tuple[Violation, ...]]:
-    """The rules of :func:`validate_model` but the single-top rule: the
-    violations reported before it and those after it."""
+def _rule_violations(m: CncModel) -> tuple[Violation, ...]:
+    """The violations of every rule of :func:`validate_model`, the
+    single-top rule included."""
     out: list[Violation] = []
     names = [c.name for c in m.components]
     for n in sorted(set(x for x in names if names.count(x) > 1)):
@@ -314,10 +310,11 @@ def _rule_violations(m: CncModel) -> tuple[tuple[Violation, ...], tuple[Violatio
     for a, b in sorted(transitive_closure(edges)):
         if a == b:
             out.append(Violation("containment-cycle", a, "containment cycle through component"))
-    before = tuple(out)
-    out = []
-    if len(m.components) == 0:
+    if not m.components:
         out.append(Violation("empty-model", "<model>", "model has no components"))
+    elif len(m.tops) != 1:
+        out.append(Violation("top-count", ", ".join(m.tops) or "<none>",
+                             f"model has {len(m.tops)} top components, expected exactly 1"))
 
     # Ports: a type each, unique names per component.
     for c in m.components:
@@ -364,7 +361,7 @@ def _rule_violations(m: CncModel) -> tuple[tuple[Violation, ...], tuple[Violatio
     for ref, conns in sorted(incoming.items()):
         if len(conns) > 1:
             out.append(Violation("two-incoming", str(ref), f"port has {len(conns)} incoming connectors"))
-    return before, tuple(out)
+    return tuple(out)
 
 
 def contains_transitive(m: CncModel, parent: str, child: str) -> bool:

@@ -205,20 +205,19 @@ class _Cdcl:
     indexed by the literal itself: ``x[-v]`` counts from the end.  A literal
     outside ``±1..n`` would read another literal's slot.
 
-    The order heaps hold ``(-activity, var)`` entries: ``heap`` for every
-    variable of a plain solve, and once an enumeration has blocked its first
-    answer, for the projection variables only; ``late_heap`` for the others,
-    consulted only when ``heap`` has no unassigned variable left.
-    ``late[v]`` names a variable's heap.  ``in_heap[v]`` is set while its
-    heap holds an entry for ``v`` at its current activity: it is set on push
-    and cleared when ``analyze`` bumps ``v`` or the decision step pops that
-    entry.  Each cold segment of ``solve`` rebuilds both heaps with one
+    The order heap holds ``(late, -activity, var)`` entries.  ``late[v]`` is
+    False for every variable of a plain solve and, once an enumeration has
+    blocked its first answer, for the projection variables only, so every
+    projection entry pops before any other.  ``in_heap[v]`` is set while
+    the heap holds an entry for ``v`` at its current activity: it is set on
+    push and cleared when ``analyze`` bumps ``v`` or the decision step pops
+    that entry.  Each cold segment of ``solve`` rebuilds the heap with one
     entry per unassigned variable, and from then on every unassigned
     variable keeps such an entry: backtracking pushes only the variables
-    whose flag is clear, each into its own heap, and an entry at an older
-    activity is dropped when popped.  So a warm resume needs no rebuild: the
-    SAT answer emptied the heaps, and the backjump of
-    ``add_blocking_clause`` pushed each variable it unassigned.
+    whose flag is clear, and an entry at an older activity is dropped when
+    popped.  So a warm resume needs no rebuild: the SAT answer emptied the
+    heap, and the backjump of ``add_blocking_clause`` pushed each variable
+    it unassigned.
 
     The formula's clauses enter through ``add_clauses``, once, before the
     first solve; it refutes the formula at once if its units and binary
@@ -250,14 +249,12 @@ class _Cdcl:
         self.qhead = 0
         self.activity = [0.0] * (nv + 1)
         self.var_inc = 1.0
-        self.inv_decay = 1.0 / 0.8
         self.restart_base = 256
-        # Filled by solve().  late[v]: v waits in late_heap, to be decided
-        # only once every variable of ``heap`` is assigned; set for the
-        # variables outside an enumeration's projection after its first
-        # answer, so a plain solve keeps late_heap empty.
-        self.heap: list[tuple[float, int]] = []
-        self.late_heap: list[tuple[float, int]] = []
+        # Filled by solve().  late[v]: v is decided only once every other
+        # variable is assigned; set for the variables outside an
+        # enumeration's projection after its first answer, and for none in
+        # a plain solve.
+        self.heap: list[tuple[bool, float, int]] = []
         self.late = [False] * (nv + 1)
         self.in_heap = [False] * (nv + 1)
         self.seen = [False] * (nv + 1)
@@ -357,7 +354,7 @@ class _Cdcl:
         root are dropped (with none left the formula is UNSAT), and the rest
         go to ``_learn`` by decreasing decision level.  Then the solver goes
         back to the root and from there on decides every projection
-        variable before any other: the others wait in ``late_heap``.
+        variable before any other: the others are marked ``late``.
 
         Every later call adds the negated decisions of the levels whose
         decision is a projection variable, deepest first, through
@@ -585,16 +582,13 @@ class _Cdcl:
         self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        """One entry per unassigned variable at its current activity, in
-        ``late_heap`` if the variable is late and in ``heap`` if not."""
+        """One entry per unassigned variable at its current activity."""
         nv = self.nv
         activity = self.activity
         late = self.late
         in_heap = self.in_heap = [False] + [x == 0 for x in self.val[1:nv + 1]]
-        self.heap = [(-activity[v], v) for v in range(1, nv + 1) if in_heap[v] and not late[v]]
-        self.late_heap = [(-activity[v], v) for v in range(1, nv + 1) if in_heap[v] and late[v]]
+        self.heap = [(late[v], -activity[v], v) for v in range(1, nv + 1) if in_heap[v]]
         heapq.heapify(self.heap)
-        heapq.heapify(self.late_heap)
 
     def cancel_until(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
@@ -605,7 +599,6 @@ class _Cdcl:
         trail = self.trail
         heap_push = heapq.heappush
         heap = self.heap
-        late_heap = self.late_heap
         late = self.late
         in_heap = self.in_heap
         activity = self.activity
@@ -619,26 +612,26 @@ class _Cdcl:
             reason[var] = None
             if not in_heap[var]:
                 in_heap[var] = True
-                heap_push(late_heap if late[var] else heap, (-activity[var], var))
+                heap_push(heap, (late[var], -activity[var], var))
         del trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(trail)
 
     def _pick_branch_var(self) -> int:
         """Next decision variable, or 0 if all are assigned: a late one only
-        once ``heap`` holds no unassigned variable."""
+        once every other variable is assigned."""
         val = self.val
         in_heap = self.in_heap
         activity = self.activity
+        heap = self.heap
         heap_pop = heapq.heappop
-        for heap in (self.heap, self.late_heap):
-            while heap:
-                act, v = heap_pop(heap)
-                if -act != activity[v]:
-                    continue  # older activity; any unassigned v has a current entry
-                in_heap[v] = False
-                if val[v] == 0:
-                    return v
+        while heap:
+            _, act, v = heap_pop(heap)
+            if -act != activity[v]:
+                continue  # older activity; any unassigned v has a current entry
+            in_heap[v] = False
+            if val[v] == 0:
+                return v
         return 0
 
     def _reduce_learnts(self) -> None:
@@ -649,10 +642,8 @@ class _Cdcl:
             r = self.reason[lit if lit > 0 else -lit]
             if type(r) is list:
                 locked.add(id(r))
-        order = sorted(range(len(self.learnts)),
-                       key=lambda i: len(self.learnts[i]))
-        keep_n = len(order) // 2
-        kept = {id(self.learnts[i]) for i in order[:keep_n]} | locked
+        shorter = sorted(self.learnts, key=len)[:len(self.learnts) // 2]
+        kept = {id(c) for c in shorter} | locked
         dropped = {id(c) for c in self.learnts} - kept
         self.learnts = [c for c in self.learnts if id(c) in kept]
         for w in self.watches:

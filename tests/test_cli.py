@@ -249,6 +249,27 @@ def test_reduce3sat_malformed_dimacs_is_a_usage_error(tmp_path, text, message):
     assert p.stderr == f"error: {cnf}: {message}\n"
 
 
+@pytest.mark.parametrize("text, flags, message", [
+    # The spec that -o writes, and so the CNF that --spec-only prints, would
+    # misstate these formulas: no views, or an empty disjunction.
+    ("p cnf 0 0\n", ["--spec-only"], "{cnf}: it has no variables, so its spec would name no view"),
+    ("p cnf 0 0\n", ["-o", "OUT"], "{cnf}: it has no variables, so its spec would name no view"),
+    ("p cnf 2 2\n1 2 0\n0\n", ["--spec-only"],
+     "{cnf}: clause 2 is empty, which a spec formula cannot state"),
+    ("p cnf 2 2\n1 2 0\n0\n", ["-o", "OUT"],
+     "{cnf}: clause 2 is empty, which a spec formula cannot state"),
+    ("p cnf 2 2\n1 -2 0\n2 0\n", ["-o", "OUT", "--spec-only"],
+     "argument --spec-only: not allowed with argument -o/--out-dir"),
+])
+def test_reduce3sat_writes_nothing_it_cannot_state(tmp_path, text, flags, message):
+    cnf, out = tmp_path / "f.cnf", tmp_path / "out"
+    cnf.write_text(text)
+    p = run("reduce3sat", str(cnf), *(str(out) if f == "OUT" else f for f in flags))
+    assert p.returncode == 2
+    assert p.stderr.endswith(f"error: {message.format(cnf=cnf)}\n")
+    assert p.stdout == "" and not out.exists()
+
+
 def test_reduce3sat_with_a_missing_solver_is_an_internal_error(tmp_path):
     cnf, missing = tmp_path / "f.cnf", tmp_path / "no-such-solver"
     cnf.write_text("p cnf 2 2\n1 -2 0\n2 0\n")

@@ -135,14 +135,17 @@ def test_parse_view_rejects_conflicting_port_fragments():
 
 
 def test_print_view_round_trips():
-    v = parse_view("""
+    for text in ("""
         component Body {
           component Sensor { port out ? val; }
           component Limiter;
         }
         connect Sensor -> Limiter;
-    """, name="V")
-    assert parse_view(print_view(v), name="V") == v
+    """,
+                 # C sits under A and under B: A contains B contains C.
+                 "component A { component B { component C; } component C; }"):
+        v = parse_view(text, name="V")
+        assert parse_view(print_view(v), name="V") == v
 
 
 SPEC_TEXT = """
@@ -227,50 +230,53 @@ TYPE = st.sampled_from(("int", "float"))  # few types, so that connectors fit
 
 
 @st.composite
-def forest(draw, typed: bool) -> tuple[list[str], dict[str, str | None], dict[str, tuple[Port, ...]]]:
-    """Up to 4 distinct component names, each with a parent drawn from the
-    names before it (or none), and up to 2 ports with distinct names each."""
+def forest(draw, typed: bool, tree: bool) -> tuple[list[str], dict[str, frozenset[str]],
+                                                  dict[str, tuple[Port, ...]]]:
+    """Up to 4 distinct component names, each with parents drawn from the
+    names before it (at most one in a tree, any set of them otherwise), and
+    up to 2 ports with distinct names each."""
     names = draw(st.lists(IDENT, min_size=1, max_size=4, unique=True))
-    parent = {n: draw(st.sampled_from([None, *names[:i]])) for i, n in enumerate(names)}
+    parents = {n: draw(st.frozensets(st.sampled_from(names[:i]), max_size=1 if tree else None))
+               if i else frozenset() for i, n in enumerate(names)}
     ptype = TYPE if typed else st.none() | TYPE
     ports = {n: tuple(Port(pn, draw(st.sampled_from(Direction)), draw(ptype))
                       for pn in draw(st.lists(IDENT, max_size=2, unique=True)))
              for n in names}
-    return names, parent, ports
+    return names, parents, ports
 
 
-def components(names, parent, ports) -> list[Component]:
-    return [Component(n, ports[n], frozenset(c for c in names if parent[c] == n)) for n in names]
+def components(names, parents, ports) -> list[Component]:
+    return [Component(n, ports[n], frozenset(c for c in names if n in parents[c])) for n in names]
 
 
-def legal(parent: dict[str, str | None], sc: str, sp: Port, tc: str, tp: Port) -> bool:
-    """The placement and direction rules of a model connector."""
+def legal(parents: dict[str, frozenset[str]], sc: str, sp: Port, tc: str, tp: Port) -> bool:
+    """The placement and direction rules of a model connector in a tree."""
     if sc == tc or sp.type != tp.type:
         return False
     dirs = (sp.direction, tp.direction)
-    if parent[sc] == parent[tc]:
+    if parents[sc] == parents[tc]:
         return dirs == (Direction.OUT, Direction.IN)
-    if parent[tc] == sc:
+    if parents[tc] == {sc}:
         return dirs == (Direction.IN, Direction.IN)
-    return parent[sc] == tc and dirs == (Direction.OUT, Direction.OUT)
+    return parents[sc] == {tc} and dirs == (Direction.OUT, Direction.OUT)
 
 
 @st.composite
 def models(draw) -> CncModel:
-    names, parent, ports = draw(forest(typed=True))
+    names, parents, ports = draw(forest(typed=True, tree=True))
     candidates = [Connector(PortRef(sc, sp.name), PortRef(tc, tp.name))
                   for sc in names for sp in ports[sc] for tc in names for tp in ports[tc]
-                  if legal(parent, sc, sp, tc, tp)]
+                  if legal(parents, sc, sp, tc, tp)]
     chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)) if candidates else []
     one_incoming = {c.tgt: c for c in reversed(chosen)}.values()
-    model = CncModel(components(names, parent, ports), list(one_incoming))
+    model = CncModel(components(names, parents, ports), list(one_incoming))
     assert validate_model(model, allow_multiple_tops=True) == []
     return model
 
 
 @st.composite
 def views(draw) -> CncView:
-    names, parent, ports = draw(forest(typed=False))
+    names, parents, ports = draw(forest(typed=False, tree=False))
 
     def end(c: str) -> tuple[str | None, str | None]:
         """A port name on ``c`` (declared, undeclared or none) and the type
@@ -285,7 +291,7 @@ def views(draw) -> CncView:
         (sp, sp_type), (tp, tp_type) = end(sc), end(tc)
         connectors.append(AbstractConnector(sc, tc, sp, tp, sp_type, tp_type))
     marked = draw(st.sets(st.sampled_from(names)))
-    return CncView("V", components(names, parent, ports), connectors, marked)
+    return CncView("V", components(names, parents, ports), connectors, marked)
 
 
 @settings(max_examples=150, deadline=None)
