@@ -413,6 +413,8 @@ def parse_spec(text: str, filename: str = "<spec>") -> SpecSource:
                 library.append(_parse_libdecl(p))
         elif p.at("style"):
             span = p.advance().span
+            if style.kind is not StyleKind.NONE:
+                p.fail("style given twice", span)
             style = _parse_style(p, span)
             p.expect(";")
         elif p.accept("scope"):
@@ -546,6 +548,8 @@ def _parse_scope(p: _Parser, hints: ScopeHints) -> ScopeHints:
         key = p.hyphen_word()
         if key not in values:
             raise DslError(f"unknown scope key {key!r}", span)
+        if values[key] is not None:
+            raise DslError(f"scope key {key!r} given twice", span)
         p.expect("=")
         values[key] = p.integer()
         p.expect(";")

@@ -230,7 +230,6 @@ class _Encoder:
         self.view = _Table(partial(new, "view"))
         # Shared auxiliaries, each defined where it is first needed.
         self.const = _Table(self._const)
-        self.typepresent = _Table(self._type_present)
         self.portok = _Table(self._port_ok)
         self.endsel = _Table(lambda end: _Table(partial(self._endpoint_sel, *end)))
         self.acok = _Table(self._abs_conn_ok)
@@ -311,8 +310,7 @@ class _Encoder:
         tables = (self.ex, self.used, self.pin, *self.par.values(), *self.owner, *self.pname,
                   *self.ptype, *self.conn, *self.subt.values(), *self.reach)
         # A closed table drops its definer, and with it any reference back to the encoder.
-        for table in (*tables, self.const, self.typepresent, self.portok, self.endsel,
-                      *self.endsel.values(), self.acok, self.conncomp):
+        for table in (*tables, self.const, self.portok, self.endsel, *self.endsel.values(), self.acok, self.conncomp):
             table.close()
         return Encoding(cnf, self.vm, self.scope, self.structural, self.ex, self.par, self.used,
                         self.owner, self.pname, self.ptype, self.pin, self.conn, self.subt, self.reach)
@@ -514,10 +512,6 @@ class _Encoder:
 
     # -- views and the specification formula -----------------------------------
 
-    def _type_present(self, t: str) -> int:
-        """``typepresent[t]``: some slot has type t."""
-        return self.or_var(("typepresent", t), [self.ptype[p][t] for p in self.slots])
-
     def _port_ok(self, key: tuple[str, Port]) -> int:
         """``portok[c, port]``: some slot realizes c's declared port."""
         c, port = key
@@ -560,8 +554,6 @@ class _Encoder:
     def _element_lit(self, e: tuple) -> int:
         """The literal that holds iff the model has view element ``e``."""
         match e:
-            case ("type", t):
-                return self.typepresent[t]
             case ("component", c):
                 return self.ex[c]
             case ("port", c, port):
@@ -577,7 +569,8 @@ class _Encoder:
     def _views(self) -> None:
         self.begin("views")
         for name in sorted(self.spec.views):
-            conjuncts = [self._element_lit(e) for e in self.spec.views[name].elements]
+            # A view type is the type of one of its ports or connector ends, whose literal needs it.
+            conjuncts = [self._element_lit(e) for e in self.spec.views[name].elements if e[0] != "type"]
             v = self.view[name]
             for l in conjuncts:
                 self.add(-v, l)

@@ -232,7 +232,7 @@ class CncView:
         of its ports; ``("nested", a, b)`` or ``("independent", a, b)`` for
         each ordered pair of distinct components, as the view does or does
         not nest ``b`` in ``a``; and ``("connector", ac)`` for each abstract
-        connector.  The encoder and the checker both read this list."""
+        connector.  The checker reads them all; the encoder skips the types."""
         out = [("type", t) for t in sorted(self.types)]
         for c in self.components:
             out += [("component", c.name), *(("port", c.name, p) for p in c.ports)]

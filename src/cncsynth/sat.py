@@ -91,6 +91,10 @@ class SolverConfig:
     engine: str = "internal"  # "internal" or a path to an external solver
     limits: SolverLimits = SolverLimits()
 
+    def __post_init__(self) -> None:
+        if self.engine != "internal" and self.limits.conflicts is not None:
+            raise ValueError(f"a conflict limit cannot apply to the external solver {self.engine!r}")
+
 
 @dataclass
 class SolveStats:
@@ -821,8 +825,9 @@ def _answers(cnf: CnfInstance, cfg: SolverConfig, projection: list[int]) -> Iter
         solver.add_blocking_clause(clause)
 
 
-# Conventional solver exit codes.
+# Conventional solver exit codes, and the verdicts of an 's' line.
 _EXIT_STATUS = {10: SAT, 20: UNSAT}
+_VERDICTS = {"SATISFIABLE": SAT, "UNSATISFIABLE": UNSAT, "UNKNOWN": RESOURCE_LIMIT, "INDETERMINATE": RESOURCE_LIMIT}
 
 
 class _External:
@@ -831,8 +836,8 @@ class _External:
     on a DIMACS file of all of them.  A run that reaches the monotonic clock
     time ``deadline`` is killed, and one that would start at or after it is
     not started; both are reported as RESOURCE_LIMIT.  There is no portable
-    way to give an arbitrary binary a conflict limit, so
-    ``SolverLimits.conflicts`` does not apply here.  The verdict is read from
+    way to give an arbitrary binary a conflict limit, so ``SolverConfig``
+    rejects ``SolverLimits.conflicts`` for it.  The verdict is read from
     the 's' line; an exit code of 10 or 20 that disagrees with it, a 'v'
     literal outside ``±1..num_vars``, or an executable that cannot be run,
     raises SolverError."""
@@ -947,23 +952,20 @@ def _dimacs_int(tok: str, number: int) -> int:
 
 def parse_dimacs_result(text: str) -> SolveResult:
     """Parse SAT-competition style solver output ('s' and 'v' lines).  A SAT
-    answer's literals are its 'v' literals; a variable set both ways raises
-    SolverError."""
+    answer's literals are its 'v' literals; a second 's' line or a variable
+    set both ways raises SolverError."""
     status = None
     lits: list[int] = []
     seen_v = False
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line.startswith("s "):
+            if status is not None:
+                raise SolverError(f"line {number}: a second 's' line, {line!r}")
             verdict = line[2:].strip().upper()
-            if verdict == "SATISFIABLE":
-                status = SAT
-            elif verdict == "UNSATISFIABLE":
-                status = UNSAT
-            elif verdict in ("UNKNOWN", "INDETERMINATE"):
-                status = RESOURCE_LIMIT
-            else:
+            if verdict not in _VERDICTS:
                 raise SolverError(f"unrecognized solver verdict {verdict!r}")
+            status = _VERDICTS[verdict]
         elif line.startswith("v ") or line == "v":
             seen_v = True
             lits.extend(_dimacs_int(t, number) for t in line[1:].split())

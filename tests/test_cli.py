@@ -105,6 +105,19 @@ def test_solver_env_var_names_the_solver_and_the_flag_wins(tmp_path):
     assert f"cannot run external solver {str(from_flag)!r}" in p.stderr and str(from_env) not in p.stderr
 
 
+def test_a_conflict_limit_with_an_external_solver_is_a_usage_error(tmp_path):
+    # The fake solver answers UNSAT; the limit used to be ignored, and the
+    # run printed "unsatisfiable" and exited 1.
+    solver = tmp_path / "fake-solver"
+    solver.write_text(f"#!{sys.executable}\nimport sys\nprint('s UNSATISFIABLE')\nsys.exit(20)\n")
+    solver.chmod(0o755)
+    for argv, env in ((("--solver", str(solver)), None), ((), {"CNCSYNTH_SOLVER": str(solver)})):
+        p = run("synth", SPEC, *argv, "--conflicts", "0", env=env)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert f"a conflict limit cannot apply to the external solver {str(solver)!r}" in p.stderr
+
+
 def test_synth_enumerate():
     p = run("synth", SPEC, "--enumerate", "3", "--json")
     assert p.returncode == 0

@@ -208,11 +208,28 @@ def test_parse_spec_styles():
         "spec S { views { V } formula: V; scope { portz = 3; } }",
         "spec S { views { V } formula: V; patterns { imp(V); } }",
         "spec S { views { V } formula: V; patterns { frob(V); } }",
+        # A repeated style or scope key used to let the last one win.
+        "spec S { views { V } formula: V; style hierarchical; style layered([A]; [B]); }",
+        "spec S { views { V } formula: V; style hierarchical; style hierarchical; }",
+        "spec S { views { V } formula: V; scope { ports = 3; ports = 5; } }",
+        "spec S { views { V } formula: V; scope { ports = 3; } scope { extra-names = 1; ports = 5; } }",
     ],
 )
 def test_parse_spec_errors(text):
     with pytest.raises(DslError):
         parse_spec(text)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("spec S { views { V } formula: V; style hierarchical; style layered([A]; [B]); }",
+     "style given twice", 54),
+    ("spec S { views { V } formula: V; scope { ports = 3; } scope { extra-types = 0; ports = 5; } }",
+     "scope key 'ports' given twice", 80),
+])
+def test_a_repeated_style_or_scope_key_is_reported_where_it_repeats(text, message, column):
+    with pytest.raises(DslError) as err:
+        parse_spec(text)
+    assert (err.value.message, err.value.span.line, err.value.span.column) == (message, 1, column)
 
 
 def test_export_dot_structure():

@@ -35,7 +35,9 @@ from cncsynth.encoder import (
 from cncsynth.checker import evaluate_spec
 from cncsynth.cli import load_spec
 from cncsynth.model import (
+    AbstractConnector,
     CncModel,
+    CncView,
     Component,
     Connector,
     Direction,
@@ -226,16 +228,41 @@ def test_all_scope_models_include_one_component_models():
     assert names == {("A",), ("B",), ("A", "B")}
 
 
-def test_enumeration_is_sound_and_complete_on_tiny_scope():
-    scope_models = all_scope_models()
-    for spec in TINY_SPECS:
+def assert_enumeration_is_sound_and_complete(specs, scope: Scope) -> None:
+    scope_models = all_scope_models(scope)
+    for spec in specs:
         expected = {m for m in scope_models if evaluate_spec(m, spec).overall}
-        got = list(enumerate_models(spec, scope=SCOPE))
+        got = list(enumerate_models(spec, scope=scope))
         assert len(got) == len(set(got)), "enumerated models must be pairwise distinct"
         assert set(got) == expected, spec.formula
         negated = isinstance(spec.formula, Not)
         for m in got:
             assert oracle_satisfies(m, spec.views["V"]) != negated
+
+
+def test_enumeration_is_sound_and_complete_on_tiny_scope():
+    assert_enumeration_is_sound_and_complete(TINY_SPECS, SCOPE)
+
+
+# With two types a model can have ports and still lack a view's type.  The
+# encoder leaves a view's type elements out of its biconditional, as each is
+# the type of a port or connector end of the same view; these views check it.
+TWO_TYPES = Scope(("A", "B"), 2, ("p", "q"), ("t", "u"))
+
+# A contains B, and the one type comes only from a connector end.
+TYPED_END = CncView("V", (Component("A", (), frozenset({"B"})), Component("B", ())),
+                    (AbstractConnector("A", "B", tgt_type="u"),))
+
+TWO_TYPE_SPECS = [
+    resolve(ViewSpec("s", (view,), formula))
+    for view in [*(v for v in (parse_view(text, name="V") for text in ELEMENT_VIEWS) if v.types), TYPED_END]
+    for formula in (Var("V"), Not(Var("V")))
+]
+
+
+def test_enumeration_is_sound_and_complete_with_two_types():
+    assert len(TWO_TYPE_SPECS) == 6
+    assert_enumeration_is_sound_and_complete(TWO_TYPE_SPECS, TWO_TYPES)
 
 
 def test_enumeration_completeness_with_abstract_connector():
@@ -520,19 +547,19 @@ DIGEST_SPECS = {
 # port-identity group; no other input has a port clash.
 CNF_DIGESTS = {
     "Lander": "74e59ac5f59cba5d851d6755038cb4b07d318400bc2dc3ac6f2133f56fb90b86",
-    "S1": "9010dbe71dd2c39dac48ad987aafa610a7e6547bc675a3465a1c4a051b2b1293",
-    "S1amp": "fa28ef15f224a92bb39c2914d93edc3531b48da39badbd508557b81433e728dc",
-    "S1hier": "8cd9f1a6f099723162f5f467feff0dd245d88d8ce2b9d4b6d85911d8298da717",
-    "S1lib": "1ea782e40de5f563341a40a1e4b439ab8779474086dd4bb2af4c02be6cc18b02",
-    "S2": "b6f1bc2ec5dd4ce32bbb15f3f2dfb275cfb9e30e487685524580516f03a7e030",
-    "S2Fixed": "33797e4bdaff58933fb480fe3964f73d9f3e6e57ae9d80e97b300eb62df21753",
-    "S2NoNest": "ca0e5f8af12dc96375c84fad7079739f589111f58fe95c6bd51dcba020b3db95",
-    "S1lib@ports=10": "ed14b80d81d4c175c5a587096c5908d0a744996223360eea640df65a9d9ab93a",
-    "S1@ports=19": "9010dbe71dd2c39dac48ad987aafa610a7e6547bc675a3465a1c4a051b2b1293",
+    "S1": "cbc1ad0ab81a667d5a413aaca33cd97a569426d75ec30e04f2df512ba1d00973",
+    "S1amp": "0421888b98ca78ee2d3bea8183fbea141e24a25aa97d14e3efdf49d94c195b54",
+    "S1hier": "75870a2758b37e3ba920af1159afb8c5b1280c7c69af1969da4669be34df68ad",
+    "S1lib": "3ddd73280ce0a1aec8261f0920c3cc76de39205a18abf891ed8a3927b16c39cb",
+    "S2": "1a97ec698b3122dd5b58c9ed7810c8d8f97d83928c35915baf64b405e340161c",
+    "S2Fixed": "50869a658d4d07b391e9e3bbfebc96788e14c2fe836db26a18df4ae80c826088",
+    "S2NoNest": "964e22a25e26ff04fc46ca11226a967e9ebc94e7be8a6bf608cd369427511c7a",
+    "S1lib@ports=10": "97e2d9c7df82bc7c482881936c9617c6cf8ed7ae97ee44d5fc29125dddba993e",
+    "S1@ports=19": "cbc1ad0ab81a667d5a413aaca33cd97a569426d75ec30e04f2df512ba1d00973",
     "3sat-n1": "3a43dc93e81ba8af68bb3a99482df96d2a6e3e00ac8155bb65806bf055ff7835",
     "3sat-n6-pinned": "e8b90e7e29bc806977404985ef5768d17e37e47f06c44b875c10a836d8e930ba",
     "3sat-n6": "ba2fa8432ee6f008353654956cb802775f7660ec0eb11cf258481e8ac1e978ef",
-    "closed": "31d40c1899e64d521a018f89c095b69d280f961703044dbda174e2eb2b46ede8",
+    "closed": "48f3c3cd0d48a12deed337b0af337ade3ee4febd8e138abfe28a58cb0e015a8f",
 }
 
 
@@ -591,7 +618,7 @@ VAR_KINDS = {
     "S1lib@ports=10": {
         "exists": 7, "parent": 42, "top": 7, "used": 10, "owner": 70, "pname": 70, "pin": 10,
         "ptype": 10, "conn": 90, "subt": 42, "subtstep": 210, "sameowner": 9, "pparent": 70,
-        "ptop": 10, "reach": 90, "reachstep": 720, "typepresent": 1, "portsel": 30, "portok": 3,
+        "ptop": 10, "reach": 90, "reachstep": 720, "portsel": 30, "portok": 3,
         "endsel": 10, "acok": 728, "view": 6, "faux": 2},
     "3sat-n6-pinned": {
         "exists": 12, "parent": 132, "top": 12, "subt": 132, "subtstep": 1320, "view": 12,

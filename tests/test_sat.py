@@ -152,6 +152,16 @@ def test_solver_limits_reject_out_of_range_values():
     assert SolverLimits(conflicts=0, wall_seconds=0.5).conflicts == 0
 
 
+def test_a_conflict_limit_with_an_external_solver_is_rejected():
+    # An external run cannot be stopped at a conflict count; the limit was
+    # silently ignored.
+    for conflicts in (0, 5):
+        with pytest.raises(ValueError, match="conflict limit cannot apply to the external solver 'kissat'"):
+            SolverConfig(engine="kissat", limits=SolverLimits(conflicts=conflicts))
+    assert SolverConfig(engine="kissat", limits=SolverLimits(wall_seconds=1.0)).limits.conflicts is None
+    assert SolverConfig(limits=SolverLimits(conflicts=0)).limits.conflicts == 0
+
+
 def test_dimacs_round_trip():
     cnf = CnfInstance(3, ((1, -2), (2, 3), (-1, -3)), comments=("hello", ""))
     text = emit_dimacs(cnf)
@@ -209,6 +219,8 @@ def test_parse_dimacs_result():
     ("s SATISFIABLE\nv 1 -2\nv x 0\n", "line 3: 'x' is not an integer"),
     ("s SATISFIABLE\nv 1 -1 2 0\n", "'v' lines set variable 1 both true and false"),
     ("s SATISFIABLE\nv -3 2\nv 1 3 0\n", "'v' lines set variable 3 both true and false"),
+    # The last of several 's' lines used to win: this read as UNSAT.
+    ("s SATISFIABLE\nv 1 0\ns UNSATISFIABLE\n", "line 3: a second 's' line, 's UNSATISFIABLE'"),
 ])
 def test_parse_dimacs_result_rejects_a_malformed_model(text, message):
     with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
@@ -361,14 +373,14 @@ def test_search_counts_s2():
 def test_search_counts_s2nonest():
     # The port-identity clauses refute Cylinder.angle's int and float
     # declarations at the root; before them the search took 1028/16053/752535.
-    assert search_counts(encode(load_spec(str(RJ / "S2NoNest.cncspec"))).cnf) == (UNSAT, 0, 0, 131)
+    assert search_counts(encode(load_spec(str(RJ / "S2NoNest.cncspec"))).cnf) == (UNSAT, 0, 0, 129)
 
 
 def test_search_counts_s1lib_ports10():
     # A refutation that needs CDCL search: S1lib is SAT at its own 12 ports.
     spec = load_spec(str(RJ / "S1lib.cncspec"))
     spec = dataclasses.replace(spec, scope_hints=dataclasses.replace(spec.scope_hints, ports=10))
-    assert search_counts(encode(spec).cnf) == (UNSAT, 2843, 8768, 538920)
+    assert search_counts(encode(spec).cnf) == (UNSAT, 2843, 8768, 538919)
 
 
 def test_search_counts_3sat_reduction():
