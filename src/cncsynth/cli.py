@@ -77,6 +77,16 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str | Path, text: str, parents: bool = False) -> None:
+    """Write ``text`` to ``path``, making its directory first if ``parents``."""
+    try:
+        if parents:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     engine = args.solver or os.environ.get("CNCSYNTH_SOLVER") or "internal"
     limits = SolverLimits(conflicts=args.conflicts, wall_seconds=args.timeout)
@@ -169,28 +179,30 @@ def cmd_synth(args: argparse.Namespace) -> int:
     payload["perView"] = dict(sorted(result.evaluation.per_view.items()))
     payload["model"] = text
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     if args.dot:
-        Path(args.dot).write_text(export_dot(result.model, spec.name))
+        _write(args.dot, export_dot(result.model, spec.name))
     _emit(args, payload, text if not args.out else f"model written to {args.out}")
     return EXIT_OK
 
 
 def _synth_enumerate(args: argparse.Namespace, spec: ResolvedSpec, config: SolverConfig) -> int:
     models = []
+    limited = False
     try:
         for model in enumerate_models(spec, limit=args.enumerate, config=config):
-            models.append(model)
+            models.append(print_model(model))
     except TimeoutError:
-        _emit(args, {"outcome": "resource-limit", "models": [print_model(m) for m in models]},
-              "resource limit reached during enumeration")
-        return EXIT_INTERNAL
-    payload = {"outcome": "sat" if models else "unsat", "count": len(models),
-               "models": [print_model(m) for m in models]}
-    human = "\n".join(f"// model {i + 1}\n{print_model(m)}" for i, m in enumerate(models)) \
-        or "\n".join(["no model within scope", *_port_clashes(spec, payload)])
-    _emit(args, payload, human)
-    return EXIT_OK if models else EXIT_NEGATIVE
+        limited = True
+    payload = {"outcome": "resource-limit" if limited else "sat" if models else "unsat",
+               "count": len(models), "models": models}
+    lines = [f"// model {i + 1}\n{text}" for i, text in enumerate(models)]
+    if limited:
+        lines.append("resource limit reached during enumeration")
+    elif not models:
+        lines += ["no model within scope", *_port_clashes(spec, payload)]
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_INTERNAL if limited else EXIT_OK if models else EXIT_NEGATIVE
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -231,16 +243,16 @@ def cmd_reduce3sat(args: argparse.Namespace) -> int:
     if args.out_dir:
         spec = reduce_3sat(f)
         outd = Path(args.out_dir)
-        outd.mkdir(parents=True, exist_ok=True)
-        for v in spec.views:
-            (outd / f"{v.name}.cncview").write_text(print_view(v))
+        files = {f"{v.name}.cncview": print_view(v) for v in spec.views}
         names = ", ".join(v.name for v in spec.views)
-        (outd / "from3sat.cncspec").write_text(
+        files["from3sat.cncspec"] = (
             "spec from3sat {\n"
             f"  views {{ {names} }}\n"
             f"  formula: {format_formula(spec.formula)};\n"
             "  scope { ports = 0; extra-names = 0; extra-types = 0; }\n"
             "}\n")
+        for name, text in files.items():
+            _write(outd / name, text, parents=True)
         _emit(args, {"outcome": "written", "dir": str(outd), "views": len(spec.views)},
               f"{len(spec.views)} view files and from3sat.cncspec written to {outd}")
         return EXIT_OK
@@ -267,7 +279,7 @@ def cmd_emit_dimacs(args: argparse.Namespace) -> int:
     enc = encode(spec)
     text = emit_dimacs(enc.cnf)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         print(f"{enc.cnf.num_vars} variables, {len(enc.cnf.clauses)} clauses written to {args.out}")
     else:
         print(text, end="")
@@ -278,7 +290,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     text = export_dot(model, Path(args.model).stem)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK

@@ -559,25 +559,32 @@ def _parse_scope(p: _Parser, hints: ScopeHints) -> ScopeHints:
 # --- Printing and DOT export -------------------------------------------------
 
 def print_model(m: CncModel) -> str:
-    """Render a model in the .cnc syntax; parse_model round-trips it."""
+    """Render a model in the .cnc syntax; parse_model round-trips a
+    well-formed one.  A component met again, on a containment cycle or under
+    a second parent, is printed as a bare ``component C;``."""
+    printed: set[str] = set()
     lines: list[str] = []
 
-    def emit(name: str, indent: int, last_top: bool) -> None:
+    def emit(name: str, indent: int) -> None:
         pad = "  " * indent
+        if name in printed:
+            lines.append(f"{pad}component {name};")
+            return
+        printed.add(name)
         c = m.by_name[name]
         lines.append(f"{pad}component {name} {{")
         for p in c.ports:
             lines.append(f"{pad}  port {p.direction.value} {p.type if p.type is not None else '?'} {p.name};")
         for child in sorted(c.subcomponents):
-            emit(child, indent + 1, False)
-        if last_top:
-            for conn in m.connectors:
-                lines.append(f"{pad}  connect {conn.src} -> {conn.tgt};")
+            emit(child, indent + 1)
         lines.append(f"{pad}}}")
 
-    tops = m.tops
-    for i, top in enumerate(tops):
-        emit(top, 0, i == len(tops) - 1)
+    # The tops first; a component left after them is on a containment cycle.
+    for c in sorted(m.components, key=lambda c: c.name in m.parent_map):
+        if c.name not in printed:
+            emit(c.name, 0)
+    # The connectors go inside the last top-level component.
+    lines[-1:-1] = [f"  connect {conn.src} -> {conn.tgt};" for conn in m.connectors]
     return "\n".join(lines) + "\n"
 
 
@@ -622,7 +629,12 @@ def export_dot(m: CncModel, name: str = "cnc") -> str:
     connectors as edges."""
     lines = [f"digraph \"{name}\" {{", "  compound=true;", "  node [shape=box, fontsize=10];"]
 
+    printed: set[str] = set()
+
     def emit(cname: str, indent: int) -> None:
+        if cname in printed:
+            return
+        printed.add(cname)
         pad = "  " * indent
         c = m.by_name[cname]
         lines.append(f"{pad}subgraph \"cluster_{cname}\" {{")
@@ -635,8 +647,9 @@ def export_dot(m: CncModel, name: str = "cnc") -> str:
             emit(child, indent + 1)
         lines.append(f"{pad}}}")
 
-    for top in m.tops:
-        emit(top, 1)
+    # The tops first; a component left after them is on a containment cycle.
+    for c in sorted(m.components, key=lambda c: c.name in m.parent_map):
+        emit(c.name, 1)
     for conn in m.connectors:
         lines.append(f"  \"{conn.src}\" -> \"{conn.tgt}\";")
     lines.append("}")

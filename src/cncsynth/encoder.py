@@ -14,9 +14,10 @@ breaking (used slots form a prefix, ordered by owner and then port name)
 makes the structural assignment of any model unique, so blocking clauses
 projected onto the structural variables enumerate distinct models.
 
-Every variable is numbered once, by ``VarMap.new``.  A variable read from
-several places is shared through a table that numbers it on its first
-lookup, so the order of first lookups fixes the numbering.
+Every variable is numbered once, by ``VarMap.new``.  A table whose order
+is fixed up front is a dict built in that order; a variable read from
+several places in an order the clauses fix is shared through a table that
+numbers it on its first lookup.
 
 Transitive containment and port reachability are encoded as fixpoint
 biconditionals.  These are exact here: containment antisymmetry rules out
@@ -162,16 +163,14 @@ def encode(spec: ResolvedSpec, scope: Scope | None = None) -> Encoding:
 
 class _Table(dict):
     """A dict that maps a missing key ``k`` to ``new(k)`` on its first
-    lookup and keeps it.  The entries for ``keys`` are made up front, in
-    order.  ``close`` ends the numbering: a missing key then raises KeyError."""
+    lookup and keeps it, so the order of first lookups fixes the numbering.
+    ``close`` ends the numbering: a missing key then raises KeyError."""
 
     __slots__ = ("new",)
 
-    def __init__(self, new, keys=()):
+    def __init__(self, new):
         super().__init__()
         self.new = new
-        for k in keys:
-            self[k] = new(k)
 
     def __missing__(self, key):
         v = self[key] = self.new(key)
@@ -188,14 +187,15 @@ def _no_variable(key):
 class _Encoder:
     """Builds one encoding.
 
-    Every variable is numbered once, by ``VarMap.new``.  A variable read
-    from several places lives in a table (``par[c][d]``, ``portok[c, port]``,
-    ...) that numbers it, and emits an auxiliary's defining clauses, on its
-    first lookup.  The structural tables are filled when the encoder is
-    made, in the structural order; every other table fills in the order the
-    clauses first need its variables.  The clause groups append literal
-    tuples to ``clauses`` directly, with no call per literal.
-    ``tests/test_encoder.py`` pins the resulting CNF, numbering included.
+    Every variable is numbered once, by ``VarMap.new``.  The structural
+    kinds, ``subt`` and ``view`` are dicts (``par[c][d]``, ...) built in
+    their numbering order.  ``reach``, the connector clauses' ``pparent``
+    and ``ptop``, and each shared auxiliary (``portok[c, port]``, ...)
+    live in a ``_Table`` that numbers a variable, and emits an auxiliary's
+    defining clauses, on its first lookup.  The clause groups append
+    literal tuples to ``clauses`` directly, with no call per literal, and
+    ``begin`` marks where each group starts.  ``tests/test_encoder.py``
+    pins the resulting CNF, numbering included.
     """
 
     def __init__(self, spec: ResolvedSpec, scope: Scope):
@@ -203,9 +203,7 @@ class _Encoder:
         self.scope = scope
         self.vm = VarMap()
         self.clauses: list[tuple[int, ...]] = []
-        self.groups: list[tuple[str, int, int]] = []
-        self._group_start = 0
-        self._group_label: str | None = None
+        self.marks: list[tuple[str, int]] = []
         self._tseitin_n = 0
         self.comps = list(scope.components)
         self.slots = list(range(scope.ports))
@@ -213,21 +211,25 @@ class _Encoder:
         self.types = list(scope.types)
         self._validate_scope()
 
-        # Structural variables first, in a fixed order.
+        # Structural variables first, in a fixed order, then subt in the
+        # (c, d) order in which _transitive_containment first reads it.
         comps, slots, new = self.comps, self.slots, self.vm.new
-        self.ex = _Table(partial(new, "exists"), comps)
-        self.par = {c: _Table(partial(new, "parent", c), [d for d in comps if d != c]) for c in comps}
-        self.top = _Table(partial(new, "top"), comps)
-        self.used = _Table(partial(new, "used"), slots)
-        self.owner = [_Table(partial(new, "owner", p), comps) for p in slots]
-        self.pname = [_Table(partial(new, "pname", p), self.names) for p in slots]
-        self.pin = _Table(partial(new, "pin"), slots)
-        self.ptype = [_Table(partial(new, "ptype", p), self.types) for p in slots]
-        self.conn = [_Table(partial(new, "conn", p), [q for q in slots if q != p]) for p in slots]
+        self.ex = {c: new("exists", c) for c in comps}
+        self.par = {c: {d: new("parent", c, d) for d in comps if d != c} for c in comps}
+        self.top = {c: new("top", c) for c in comps}
+        self.used = {p: new("used", p) for p in slots}
+        self.owner = [{c: new("owner", p, c) for c in comps} for p in slots]
+        self.pname = [{n: new("pname", p, n) for n in self.names} for p in slots]
+        self.pin = {p: new("pin", p) for p in slots}
+        self.ptype = [{t: new("ptype", p, t) for t in self.types} for p in slots]
+        self.conn = [{q: new("conn", p, q) for q in slots if q != p} for p in slots]
         self.structural = tuple(range(1, self.vm.num_vars + 1))
-        self.subt = {c: _Table(partial(new, "subt", c)) for c in comps}
+        self.subt = {c: {d: new("subt", c, d) for d in comps if d != c} for c in comps}
+        # reach is numbered on first lookup, interleaved with its reachstep
+        # witnesses: with all of reach numbered before them, S1's search
+        # took 22,453 conflicts, not 4,455.
         self.reach = [_Table(partial(new, "reach", p)) for p in slots]
-        self.view = _Table(partial(new, "view"))
+        self.view: dict[str, int] = {}
         # Shared auxiliaries, each defined where it is first needed.
         self.const = _Table(self._const)
         self.portok = _Table(self._port_ok)
@@ -249,14 +251,8 @@ class _Encoder:
         self.clauses.append(lits)
 
     def begin(self, label: str) -> None:
-        self.end()
-        self._group_label = label
-        self._group_start = len(self.clauses)
-
-    def end(self) -> None:
-        if self._group_label is not None and len(self.clauses) > self._group_start:
-            self.groups.append((self._group_label, self._group_start, len(self.clauses)))
-        self._group_label = None
+        """Start the clause group ``label``; it runs to the next one."""
+        self.marks.append((label, len(self.clauses)))
 
     def _const(self, value: str) -> int:
         """The literal fixed to ``value`` ("true") by a unit clause."""
@@ -303,14 +299,13 @@ class _Encoder:
         self._closed_interfaces()
         self._style()
         self._port_identity()
-        self.end()
 
         comments = [f"var {v} {self.vm.describe(v)}" for v in self.structural]
-        cnf = CnfInstance(self.vm.num_vars, tuple(self.clauses), tuple(comments), tuple(self.groups))
-        tables = (self.ex, self.used, self.pin, *self.par.values(), *self.owner, *self.pname,
-                  *self.ptype, *self.conn, *self.subt.values(), *self.reach)
+        ends = [start for _, start in self.marks[1:]] + [len(self.clauses)]
+        groups = tuple((label, start, end) for (label, start), end in zip(self.marks, ends) if end > start)
+        cnf = CnfInstance(self.vm.num_vars, tuple(self.clauses), tuple(comments), groups)
         # A closed table drops its definer, and with it any reference back to the encoder.
-        for table in (*tables, self.const, self.portok, self.endsel, *self.endsel.values(), self.acok, self.conncomp):
+        for table in (*self.reach, self.const, self.portok, self.endsel, *self.endsel.values(), self.acok, self.conncomp):
             table.close()
         return Encoding(cnf, self.vm, self.scope, self.structural, self.ex, self.par, self.used,
                         self.owner, self.pname, self.ptype, self.pin, self.conn, self.subt, self.reach)
@@ -433,6 +428,8 @@ class _Encoder:
         comps, slots, types = self.comps, self.slots, self.types
         par, top, used, owner, pin, ptype, conn = (
             self.par, self.top, self.used, self.owner, self.pin, self.ptype, self.conn)
+        # First lookups number these: with one component, pparent is first
+        # read by the sibling clauses below, and with one slot never.
         pparent = [_Table(partial(self.vm.new, "pparent", p)) for p in slots]
         ptop = _Table(partial(self.vm.new, "ptop"))
         emit = self.clauses.append
@@ -571,7 +568,7 @@ class _Encoder:
         for name in sorted(self.spec.views):
             # A view type is the type of one of its ports or connector ends, whose literal needs it.
             conjuncts = [self._element_lit(e) for e in self.spec.views[name].elements if e[0] != "type"]
-            v = self.view[name]
+            v = self.view[name] = self.vm.new("view", name)
             for l in conjuncts:
                 self.add(-v, l)
             self.add(v, *(-l for l in conjuncts))
@@ -615,7 +612,7 @@ class _Encoder:
         has exactly its ports, and a library component is also a leaf."""
         for c, ports, source in self.spec.closed_interfaces:
             label = "library" if source is None else "interface-complete"
-            if label != self._group_label:
+            if label != self.marks[-1][0]:
                 self.begin(label)
             if source is None:
                 for d in self.comps:

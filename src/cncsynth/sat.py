@@ -890,7 +890,8 @@ class _External:
 # --- DIMACS ------------------------------------------------------------------
 
 def emit_dimacs(cnf: CnfInstance) -> str:
-    lines = [f"c {c}" if c else "c" for c in cnf.comments]
+    """DIMACS text of ``cnf``, with one ``c`` line per line of each comment."""
+    lines = [f"c {line}" if line else "c" for c in cnf.comments for line in c.splitlines() or [""]]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for clause in cnf.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")

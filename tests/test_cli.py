@@ -127,6 +127,17 @@ def test_synth_enumerate():
     assert len({m for m in models}) == 3
 
 
+def test_synth_enumerate_lists_the_models_found_before_a_limit():
+    # The conflict count runs on across the models: Lander gives 72 with 50.
+    p = run("synth", SPEC, "--enumerate", "1000", "--conflicts", "50")
+    assert p.returncode == 3
+    assert p.stdout.count("// model ") == 72
+    assert p.stdout.startswith("// model 1\ncomponent ")
+    assert p.stdout.endswith("\nresource limit reached during enumeration\n")
+    payload = json.loads(run("synth", SPEC, "--enumerate", "1000", "--conflicts", "50", "--json").stdout)
+    assert payload["outcome"] == "resource-limit" and payload["count"] == len(payload["models"]) == 72
+
+
 @pytest.mark.parametrize("extra", [("--enumerate", "0"), ("--enumerate", "-3"),
                                    ("--enumerate", "2", "--out", "m.cnc"),
                                    ("--enumerate", "2", "--dot", "m.dot")])
@@ -203,6 +214,23 @@ def test_synth_writes_out_and_dot(tmp_path):
     assert p.returncode == 0
     assert parse_model(out.read_text()).top == "LanderSystem"
     assert dot.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("argv", [("synth", SPEC, "--out", "OUT"), ("synth", SPEC, "--dot", "OUT"),
+                                  ("export-dot", MODEL, "--out", "OUT"),
+                                  ("emit-dimacs", SPEC, "--out", "OUT"), ("reduce3sat", "CNF", "-o", "OUT")],
+                         ids=["synth-out", "synth-dot", "export-dot", "emit-dimacs", "reduce3sat"])
+def test_an_output_that_cannot_be_written_is_a_usage_error(tmp_path, argv):
+    # OUT lies under a regular file, so neither a file nor a directory can be
+    # made there; reduce3sat names the first file it could not write in OUT.
+    blocker, cnf = tmp_path / "blocker", tmp_path / "f.cnf"
+    blocker.write_text("")
+    cnf.write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+    out = blocker / "out"
+    p = run(*({"OUT": str(out), "CNF": str(cnf)}.get(a, a) for a in argv))
+    assert p.returncode == 2
+    assert p.stdout == "" and p.stderr.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in p.stderr
 
 
 def test_missing_file_is_usage_error():

@@ -232,6 +232,30 @@ def test_a_repeated_style_or_scope_key_is_reported_where_it_repeats(text, messag
     assert (err.value.message, err.value.span.line, err.value.span.column) == (message, 1, column)
 
 
+def test_a_model_without_a_top_is_printed_whole():
+    # A containment cycle built through the API: A contains B contains A,
+    # and B also holds the leaf C with a connector into it.
+    a = Component("A", (Port("o", Direction.OUT, "int"),), frozenset({"B"}))
+    b = Component("B", (), frozenset({"A", "C"}))
+    c = Component("C", (Port("i", Direction.IN, "int"),))
+    m = CncModel((a, b, c), (Connector(PortRef("A", "o"), PortRef("C", "i")),))
+    assert m.tops == ()
+    assert print_model(m) == (
+        "component A {\n"
+        "  port out int o;\n"
+        "  component B {\n"
+        "    component A;\n"
+        "    component C {\n"
+        "      port in int i;\n"
+        "    }\n"
+        "  }\n"
+        "  connect A.o -> C.i;\n"
+        "}\n")
+    dot = export_dot(m)
+    assert all(f'"cluster_{n}"' in dot for n in "ABC") and dot.count("subgraph") == 3
+    assert '"A.o" -> "C.i";' in dot
+
+
 def test_export_dot_structure():
     m = parse_model(MODEL_TEXT)
     dot = export_dot(m, "demo")

@@ -631,3 +631,15 @@ def test_variable_counts_per_kind_are_pinned():
                                        for v in range(1, enc.varmap.num_vars + 1))
              for name, enc in digest_encodings() if name in VAR_KINDS}
     assert kinds == VAR_KINDS
+
+
+def test_one_component_numbers_pparent_on_first_lookup():
+    # With one component no parent clause reads pparent: one slot numbers
+    # none, and two slots number it after ptop, from the sibling clauses.
+    spec = spec_of("component A { port in int x; port out int y; }")
+    kinds = {}
+    for ports in (1, 2):
+        vm = encode(spec, Scope(("A",), ports, ("x", "y"), ("int",))).varmap
+        kinds[ports] = [vm.describe(v).split(" ", 1)[0] for v in range(1, vm.num_vars + 1)]
+    assert "pparent" not in kinds[1]
+    assert kinds[2].index("ptop") < kinds[2].index("pparent")

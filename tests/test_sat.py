@@ -168,6 +168,9 @@ def test_dimacs_round_trip():
     back = parse_dimacs(text)
     assert back.num_vars == 3 and back.clauses == cnf.clauses
     assert back.comments[0] == "hello"
+    # Each line of a multi-line comment is a comment line of its own.
+    cnf = CnfInstance(2, ((1, 2),), comments=("a\nb",))
+    assert parse_dimacs(emit_dimacs(cnf)) == CnfInstance(2, ((1, 2),), comments=("a", "b"))
 
 
 def test_parse_dimacs_multiline_and_percent():
